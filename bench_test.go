@@ -299,9 +299,8 @@ func BenchmarkE6_PatternMatchOnly(b *testing.B) {
 }
 
 // BenchmarkMatch is the matcher hot-path micro: per-tree linearization
-// (interned-terminal stamping included) plus the parse loop, with no
-// semantic work — the packed comb-vector loop against the dense reference
-// loop over the same trees.
+// (interned-terminal stamping included) plus the parse loop over the
+// packed comb-vector tables, with no semantic work.
 func BenchmarkMatch(b *testing.B) {
 	u := benchUnit(b, 40)
 	tu, err := transform.Unit(u, transform.Options{})
@@ -320,23 +319,18 @@ func BenchmarkMatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, cfg := range []struct {
-		name  string
-		dense bool
-	}{{"packed", false}, {"dense", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			m := matcher.New(t, nullSem{})
-			m.Dense = cfg.dense
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, tree := range trees {
-					if _, err := m.MatchTree(tree); err != nil {
-						b.Fatal(err)
-					}
+	// The sub-benchmark name keeps the recorded baseline series.
+	b.Run("packed", func(b *testing.B) {
+		m := matcher.New(t, nullSem{})
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, tree := range trees {
+				if _, err := m.MatchTree(tree); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkTableLookup sweeps every (state, terminal) ACTION entry and

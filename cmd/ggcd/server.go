@@ -195,9 +195,14 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 	// Every request records into its own observer — span events included
 	// when the client asked for them — folded into the cumulative
-	// registry afterwards, exactly like a batch worker shard.
+	// registry afterwards, exactly like a batch worker shard. A text
+	// response has no place for events, so none are encoded for it.
 	var events bytes.Buffer
-	o := ggcg.NewObserver(ggcg.ObserverConfig{Events: &events})
+	var ocfg ggcg.ObserverConfig
+	if wantJSON {
+		ocfg.Events = &events
+	}
+	o := ggcg.NewObserver(ocfg)
 	cfg.Observer = o
 
 	start := time.Now()

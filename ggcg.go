@@ -110,7 +110,8 @@ type Config struct {
 	// functions of the unit concurrently over the shared read-only
 	// tables; 0 or 1 compiles sequentially. The output is byte-identical
 	// to the sequential output. Ignored by the baseline generator and
-	// when Trace is set (the shift/reduce listing is per-action ordered).
+	// whenever the trace is wanted — Trace, or an Observer with trace
+	// events — since the shift/reduce listing is per-action ordered.
 	Workers int
 
 	// Cache, if non-nil, serves repeated compilations of identical
@@ -222,20 +223,14 @@ func compile(src string, cfg Config) (*Compiled, error) {
 		o.Count("codegen.spills", int64(out.Stats.Spills))
 		return out, nil
 	}
-	opt := codegen.Options{
+	res, err := codegen.Compile(unit, codegen.Options{
 		Transform: transform.Options{NoReverseOps: cfg.NoReverseOps},
 		Arena:     a,
 		Target:    mach,
 		Peephole:  cfg.Peephole,
 		Obs:       o,
 		Workers:   cfg.Workers,
-	}
-	if cfg.Trace != nil {
-		// The appendix-style listing is ordered per matcher action;
-		// concurrent functions would interleave it.
-		opt.Workers = 0
-	}
-	res, err := codegen.Compile(unit, opt)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"ggcg/internal/corpus"
 )
 
 func TestCompileAndRun(t *testing.T) {
@@ -114,6 +116,24 @@ func TestTraceOutput(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "shift") || !strings.Contains(buf.String(), "accept") {
 		t.Errorf("trace output missing actions:\n%s", buf.String())
+	}
+}
+
+// The trace listing is ordered per matcher action, so a compile that asks
+// for function workers must still produce the sequential listing: the
+// observer wanting the trace is what keeps codegen on one goroutine.
+func TestTraceIgnoresWorkers(t *testing.T) {
+	src := corpus.Large(4)
+	var seq, par bytes.Buffer
+	if _, err := Compile(src, Config{Trace: &seq}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compile(src, Config{Trace: &par, Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if seq.Len() == 0 || seq.String() != par.String() {
+		t.Errorf("Workers: 4 listing (%d bytes) differs from the sequential one (%d bytes): %s",
+			par.Len(), seq.Len(), firstDiff(seq.String(), par.String()))
 	}
 }
 

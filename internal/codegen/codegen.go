@@ -41,10 +41,6 @@ type Options struct {
 	// the target's standard tables.
 	Tables *tablegen.Tables
 
-	// Trace, if non-nil, receives every pattern matcher action — the
-	// shift/reduce listing of the paper's appendix.
-	Trace func(matcher.TraceEvent)
-
 	// WrapSem, if non-nil, wraps the semantic routines; the phase-time
 	// experiment uses it to separate parsing time from semantic time.
 	WrapSem func(matcher.Semantics) matcher.Semantics
@@ -53,20 +49,19 @@ type Options struct {
 	// — the alternative organization §6.1 of the paper discusses.
 	Peephole bool
 
-	// DenseTables drives the matcher's dense-table reference loop instead
-	// of the packed comb-vector hot loop. Output is byte-identical either
-	// way; the corpus golden guard compiles with both and compares.
-	DenseTables bool
-
 	// Obs, if non-nil, receives phase spans, counters/histograms and
-	// table coverage for the whole compilation (see internal/obs).
+	// table coverage for the whole compilation (see internal/obs). An
+	// observer that wants the trace (a trace sink, or JSONL trace events)
+	// also receives every pattern matcher action — the shift/reduce
+	// listing of the paper's appendix.
 	Obs *obs.Observer
 
 	// Workers sets the number of goroutines that compile independent
 	// functions of the unit concurrently; 0 or 1 compiles sequentially.
 	// Functions share only the immutable tables, so the parallel output
 	// is byte-identical to the sequential output. Ignored (sequential)
-	// when Trace or WrapSem is set, since both observe per-action order.
+	// when Obs wants the trace or WrapSem is set, since both observe
+	// per-action order.
 	Workers int
 }
 
@@ -119,10 +114,10 @@ func Compile(u *ir.Unit, opt Options) (*Result, error) {
 	defer emitterPool.Put(out)
 	mach.EmitGlobals(out, u.Globals)
 	res := &Result{}
-	// Parallelism is skipped whenever any per-action trace consumer is
-	// attached: the listing is ordered, and observer shards deliberately
-	// do not inherit trace sinks.
-	if opt.Workers > 1 && len(u.Funcs) > 1 && opt.Trace == nil && opt.WrapSem == nil && !o.WantsTrace() {
+	// Parallelism is skipped whenever the observer wants the per-action
+	// trace: the listing is ordered, and observer shards deliberately do
+	// not inherit trace sinks.
+	if opt.Workers > 1 && len(u.Funcs) > 1 && opt.WrapSem == nil && !o.WantsTrace() {
 		if err := compileFuncsParallel(out, mach, t, u, opt, res); err != nil {
 			sp.End()
 			return nil, err
@@ -277,22 +272,7 @@ func generateFunc(out *target.Emitter, mach target.Machine, t *tablegen.Tables, 
 	m := matcherPool.Get().(*matcher.Matcher)
 	defer matcherPool.Put(m)
 	m.Reset(t, sem)
-	m.Obs = o
-	m.Dense = opt.DenseTables
-	// Fan every matcher action out to both the direct callback and the
-	// observer's trace stream (listing sink + JSONL), from the same event.
-	switch {
-	case opt.Trace != nil && o.WantsTrace():
-		tr := opt.Trace
-		m.Trace = func(e matcher.TraceEvent) {
-			tr(e)
-			o.Trace(e.Obs())
-		}
-	case opt.Trace != nil:
-		m.Trace = opt.Trace
-	case o.WantsTrace():
-		m.Trace = func(e matcher.TraceEvent) { o.Trace(e.Obs()) }
-	}
+	m.SetObserver(o)
 
 	// Phases 2–4: the span covers pattern matching, instruction generation
 	// and output generation, which interleave per tree (Figure 2).

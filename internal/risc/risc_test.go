@@ -98,40 +98,3 @@ func TestCorpusExecutes(t *testing.T) {
 		}
 	}
 }
-
-// TestPackedDenseGoldenCorpus is the RISC counterpart of codegen's VAX
-// golden guard: the packed matcher loop and the dense reference loop must
-// emit byte-identical assembly with identical matcher statistics over the
-// corpus and a large synthetic unit.
-func TestPackedDenseGoldenCorpus(t *testing.T) {
-	srcs := make([]string, 0, len(corpus.Programs())+1)
-	for _, p := range corpus.Programs() {
-		srcs = append(srcs, p.Src)
-	}
-	srcs = append(srcs, corpus.Large(12))
-	for i, src := range srcs {
-		u, err := cfront.Compile(src)
-		if err != nil {
-			t.Fatalf("program %d: front end: %v", i, err)
-		}
-		packed, err := codegen.Compile(u, codegen.Options{Target: risc.Target})
-		if err != nil {
-			t.Fatalf("program %d: packed compile: %v", i, err)
-		}
-		u2, err := cfront.Compile(src)
-		if err != nil {
-			t.Fatalf("program %d: front end: %v", i, err)
-		}
-		dense, err := codegen.Compile(u2, codegen.Options{Target: risc.Target, DenseTables: true})
-		if err != nil {
-			t.Fatalf("program %d: dense compile: %v", i, err)
-		}
-		if packed.Asm != dense.Asm {
-			t.Fatalf("program %d: packed and dense matchers emitted different RISC assembly", i)
-		}
-		if packed.Stats.Matcher != dense.Stats.Matcher {
-			t.Fatalf("program %d: matcher stats diverge: packed %+v dense %+v",
-				i, packed.Stats.Matcher, dense.Stats.Matcher)
-		}
-	}
-}
