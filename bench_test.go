@@ -27,7 +27,7 @@ import (
 // E1: construct the instruction-selection tables from the full replicated
 // VAX description (§8's grammar/state statistics).
 func BenchmarkE1_TableConstruction(b *testing.B) {
-	g, err := vax.Grammar()
+	g, err := vax.Target.Grammar()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func benchUnit(b *testing.B, n int) *ir.Unit {
 // of this pair under the ceiling recorded in EXPERIMENTS.md.
 func BenchmarkE2_GG(b *testing.B) {
 	u := benchUnit(b, 40)
-	if _, err := vax.Tables(); err != nil {
+	if _, err := vax.Target.Tables(); err != nil {
 		b.Fatal(err)
 	}
 	a := ir.AcquireArena()
@@ -130,7 +130,7 @@ func BenchmarkE3_ExecuteTableDriven(b *testing.B) {
 			if _, err := m.Call("_main", p.args...); err != nil {
 				b.Fatal(err)
 			}
-			steps += m.Steps
+			steps += m.Steps()
 		}
 	}
 	b.ReportMetric(float64(steps)/float64(b.N), "instructions/op")
@@ -147,7 +147,7 @@ func BenchmarkE3_ExecuteBaseline(b *testing.B) {
 			if _, err := m.Call("_main", p.args...); err != nil {
 				b.Fatal(err)
 			}
-			steps += m.Steps
+			steps += m.Steps()
 		}
 	}
 	b.ReportMetric(float64(steps)/float64(b.N), "instructions/op")
@@ -235,7 +235,7 @@ func BenchmarkE4_TablesWithoutReverseOps(b *testing.B) {
 // E5: the naive first-cut constructor (the "over two hours" configuration
 // of §7).
 func BenchmarkE5_NaiveConstruction(b *testing.B) {
-	g, err := vax.Grammar()
+	g, err := vax.Target.Grammar()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func BenchmarkE5_NaiveConstruction(b *testing.B) {
 
 // E5: the improved constructor ("now takes ten minutes", §9).
 func BenchmarkE5_ImprovedConstruction(b *testing.B) {
-	g, err := vax.Grammar()
+	g, err := vax.Target.Grammar()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func BenchmarkE6_PatternMatchOnly(b *testing.B) {
 			}
 		}
 	}
-	t, err := vax.Tables()
+	t, err := vax.Target.Tables()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func BenchmarkMatch(b *testing.B) {
 			}
 		}
 	}
-	t, err := vax.Tables()
+	t, err := vax.Target.Tables()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func BenchmarkMatch(b *testing.B) {
 // every (state, nonterminal) GOTO entry of the VAX tables: the raw cost
 // of one table probe, packed comb vectors vs dense matrices.
 func BenchmarkTableLookup(b *testing.B) {
-	t, err := vax.Tables()
+	t, err := vax.Target.Tables()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func BenchmarkE6_TransformOnly(b *testing.B) {
 func BenchmarkA_AppendixStatement(b *testing.B) {
 	tree := ir.MustParse(
 		`(Assign.l (Name.l a) (Plus.l (Const.b 27) (Indir.b (Plus.l (Const.b -4) (Dreg.l fp)))))`)
-	if _, err := vax.Tables(); err != nil {
+	if _, err := vax.Target.Tables(); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -454,7 +454,7 @@ func BenchmarkFrontEnd(b *testing.B) {
 // pair as a smoke test.
 func BenchmarkCompile(b *testing.B) {
 	src := corpus.Large(40)
-	if _, err := vax.Tables(); err != nil { // exclude one-time table build
+	if _, err := vax.Target.Tables(); err != nil { // exclude one-time table build
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -469,7 +469,7 @@ func BenchmarkCompile(b *testing.B) {
 // histograms, coverage) but no event stream — the in-memory recording cost.
 func BenchmarkCompileObserved(b *testing.B) {
 	src := corpus.Large(40)
-	if _, err := vax.Tables(); err != nil {
+	if _, err := vax.Target.Tables(); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -500,7 +500,7 @@ func batchSources() []string {
 // from this benchmark.
 func BenchmarkCompileBatch(b *testing.B) {
 	srcs := batchSources()
-	if _, err := vax.Tables(); err != nil { // exclude the one-time table build
+	if _, err := vax.Target.Tables(); err != nil { // exclude the one-time table build
 		b.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -528,7 +528,7 @@ func BenchmarkCompileBatch(b *testing.B) {
 // same shared tables — the contention profile CI's race job watches.
 func BenchmarkCompileParallel(b *testing.B) {
 	src := corpus.Large(40)
-	if _, err := vax.Tables(); err != nil {
+	if _, err := vax.Target.Tables(); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -562,10 +562,10 @@ func BenchmarkPeepholeOptimizer(b *testing.B) {
 // cache_test.go prove the two return byte-identical output.
 func BenchmarkCompileCached(b *testing.B) {
 	src := corpus.Large(40)
-	if _, err := vax.Tables(); err != nil { // exclude the one-time table build
+	if _, err := vax.Target.Tables(); err != nil { // exclude the one-time table build
 		b.Fatal(err)
 	}
-	if _, err := vax.TableID(); err != nil { // and the one-time identity hash
+	if _, err := vax.Target.TableID(); err != nil { // and the one-time identity hash
 		b.Fatal(err)
 	}
 	b.Run("cold", func(b *testing.B) {

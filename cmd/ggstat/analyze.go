@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,7 +18,8 @@ import (
 // measurements is one file reduced to metric name -> nanoseconds.
 type measurements struct {
 	path   string
-	kind   string // "bench" or "events"
+	kind   string        // "bench" or "events"
+	set    *benchfmt.Set // the parsed benchmark run, for bench files
 	values map[string]float64
 }
 
@@ -27,25 +29,27 @@ func loadFile(path string) (*measurements, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := parseMeasurements(path, data)
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
+	return parseMeasurements(path, data)
 }
 
 // parseMeasurements detects the format: a bench JSON document is one
 // JSON object with a results array (a whole-file Unmarshal succeeds);
-// anything else must parse as an obs event JSONL stream with at least
-// one span event.
+// `go test -bench` text has at least one benchmark result line; anything
+// else must parse as an obs event JSONL stream with at least one span
+// event.
 func parseMeasurements(path string, data []byte) (*measurements, error) {
-	var set benchfmt.Set
-	if err := json.Unmarshal(data, &set); err == nil && len(set.Results) > 0 {
-		return &measurements{path: path, kind: "bench", values: benchValues(&set)}, nil
+	set := new(benchfmt.Set)
+	if json.Unmarshal(data, set) != nil || len(set.Results) == 0 {
+		// Not bench JSON; a file that is not bench text either is tried
+		// as an event stream below, which reports the error.
+		set, _ = benchfmt.Parse(bytes.NewReader(data))
+	}
+	if set != nil && len(set.Results) > 0 {
+		return &measurements{path: path, kind: "bench", set: set, values: benchValues(set)}, nil
 	}
 	values, spans, err := eventValues(data)
 	if err != nil {
-		return nil, fmt.Errorf("%s: not bench JSON and not an event stream: %w", path, err)
+		return nil, fmt.Errorf("%s: not a benchmark run and not an event stream: %w", path, err)
 	}
 	if spans == 0 {
 		return nil, fmt.Errorf("%s: no benchmark results and no span events", path)
@@ -112,7 +116,7 @@ func gateFloor(name string, minNs float64) float64 {
 func eventValues(data []byte) (map[string]float64, int, error) {
 	out := make(map[string]float64)
 	spans := 0
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	for {
 		var e obs.Event
 		if err := dec.Decode(&e); err != nil {

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// doc builds a benchjson document with the E2 pair at the given ns/op
+// doc builds a bench JSON document with the E2 pair at the given ns/op
 // repetitions (best-of-count is the gate's reading, so each side gets a
 // slice).
 func doc(gg, pcc []float64) string {
@@ -31,8 +31,12 @@ func doc(gg, pcc []float64) string {
 
 func gate(t *testing.T, input string, max float64) (string, error) {
 	t.Helper()
+	m, err := parseMeasurements("BENCH_gate.json", []byte(input))
+	if err != nil {
+		return "", err
+	}
 	var out strings.Builder
-	err := run(strings.NewReader(input), &out, "BenchmarkE2_GG", "BenchmarkE2_PCC", max)
+	err = ratioGate{"BenchmarkE2_GG", "BenchmarkE2_PCC", max}.check(m, &out)
 	return out.String(), err
 }
 
@@ -81,9 +85,9 @@ func TestBestOfCount(t *testing.T) {
 }
 
 func TestMalformedJSON(t *testing.T) {
-	for _, input := range []string{"", "not json", `{"results":`} {
-		if _, err := gate(t, input, 2.65); err == nil || !strings.Contains(err.Error(), "decoding stdin") {
-			t.Errorf("input %q: err = %v, want decode error", input, err)
+	for _, input := range []string{"", "not json", `{"results":`, "BenchmarkE2_GG 10 5 ns/op extra\n"} {
+		if _, err := gate(t, input, 2.65); err == nil || !strings.Contains(err.Error(), "BENCH_gate.json") {
+			t.Errorf("input %q: err = %v, want a parse error naming the file", input, err)
 		}
 	}
 }
@@ -108,7 +112,33 @@ func TestMissingNsOpMetric(t *testing.T) {
 		{"name":"BenchmarkE2_GG","metrics":{"allocs/op":12}},
 		{"name":"BenchmarkE2_PCC","metrics":{"ns/op":100}}]}`
 	_, err := gate(t, input, 2.65)
-	if err == nil || !strings.Contains(err.Error(), "no ns/op result named BenchmarkE2_GG") {
+	if err == nil || !strings.Contains(err.Error(), "no ns/op result named BenchmarkE2_GG in BENCH_gate.json") {
 		t.Errorf("err = %v, want missing ns/op error", err)
+	}
+}
+
+// The gate reads raw `go test -bench` text as readily as bench JSON.
+func TestRatioOnBenchText(t *testing.T) {
+	text := `goos: linux
+BenchmarkE2_GG-2    	     600	   2000000 ns/op
+BenchmarkE2_GG-2    	     600	   1900000 ns/op
+BenchmarkE2_PCC-2   	    1000	   1000000 ns/op
+PASS
+`
+	out, err := gate(t, text, 2.65)
+	if err != nil || !strings.Contains(out, "= 1.900 (ceiling 2.650)") {
+		t.Errorf("gate on bench text: %q, %v", out, err)
+	}
+}
+
+func TestParseRatioGate(t *testing.T) {
+	g, err := parseRatioGate("BenchmarkE2_GG/BenchmarkE2_PCC<=2.65")
+	if err != nil || g != (ratioGate{"BenchmarkE2_GG", "BenchmarkE2_PCC", 2.65}) {
+		t.Errorf("parse = %+v, %v", g, err)
+	}
+	for _, bad := range []string{"", "A/B", "A<=2", "/B<=2", "A/<=2", "A/B<=x"} {
+		if _, err := parseRatioGate(bad); err == nil {
+			t.Errorf("parseRatioGate(%q) accepted", bad)
+		}
 	}
 }

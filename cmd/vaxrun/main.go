@@ -1,8 +1,8 @@
 // Vaxrun assembles a generated assembly file and executes a function on
 // the matching bundled simulator, printing the result and execution
 // statistics. Despite the historical name it drives any registered
-// target's simulator: -target selects the machine the file was generated
-// for (default vax).
+// target's simulator, looked up by -target in the target registry: the
+// machine the file was generated for (default vax).
 //
 // Usage:
 //
@@ -22,14 +22,13 @@ import (
 	"sort"
 	"strconv"
 
+	"ggcg"
 	"ggcg/internal/obs"
-	"ggcg/internal/riscsim"
-	"ggcg/internal/vaxsim"
 )
 
 func main() {
 	var (
-		tgt     = flag.String("target", "vax", "simulator to execute on (vax or risc)")
+		tgt     = flag.String("target", "vax", "target whose simulator executes the file (vax or risc)")
 		fn      = flag.String("f", "main", "function to call")
 		counts  = flag.Bool("counts", false, "print per-mnemonic instruction counts")
 		profile = flag.Bool("profile", false, "print the full execution profile")
@@ -52,57 +51,29 @@ func main() {
 		args = append(args, v)
 	}
 
-	// Both simulators share the execution surface the report needs; only
-	// construction differs, so the result of either run lands in the same
-	// variables.
-	var (
-		r        int64
-		steps    int64
-		mnCounts map[string]int64
-		prof     func() obs.SimProfile
-	)
-	switch *tgt {
-	case "vax":
-		prog, err := vaxsim.Assemble(string(src))
-		if err != nil {
-			fatal(err)
-		}
-		m := vaxsim.New(prog)
-		if *profile {
-			m.EnableFuncProfile()
-		}
-		if r, err = m.Call("_"+*fn, args...); err != nil {
-			fatal(err)
-		}
-		steps, mnCounts, prof = m.Steps, m.Counts, m.Profile
-	case "risc":
-		prog, err := riscsim.Assemble(string(src))
-		if err != nil {
-			fatal(err)
-		}
-		m := riscsim.New(prog)
-		if *profile {
-			m.EnableFuncProfile()
-		}
-		if r, err = m.Call("_"+*fn, args...); err != nil {
-			fatal(err)
-		}
-		steps, mnCounts, prof = m.Steps, m.Counts, m.Profile
-	default:
-		fatal(fmt.Errorf("unknown -target %q (simulators: risc, vax)", *tgt))
+	m, err := ggcg.NewSim(*tgt, string(src))
+	if err != nil {
+		fatal(err)
+	}
+	if *profile {
+		m.EnableFuncProfile()
+	}
+	r, err := m.Call("_"+*fn, args...)
+	if err != nil {
+		fatal(err)
 	}
 
 	fmt.Printf("%s(%v) = %d\n", *fn, args, r)
-	fmt.Printf("%d instructions executed\n", steps)
+	fmt.Printf("%d instructions executed\n", m.Steps())
 	if *profile {
-		obs.WriteSimProfile(os.Stdout, prof())
+		obs.WriteSimProfile(os.Stdout, m.Profile())
 	} else if *counts {
 		type mc struct {
 			mn string
 			n  int64
 		}
 		var list []mc
-		for mn, n := range mnCounts {
+		for mn, n := range m.Profile().Opcodes {
 			list = append(list, mc{mn, n})
 		}
 		sort.Slice(list, func(i, j int) bool { return list[i].n > list[j].n })

@@ -69,7 +69,7 @@ func timeIt(n int, f func()) time.Duration {
 func TestE2_RelativeSpeed(t *testing.T) {
 	src := corpus.Large(60)
 	u := cfront.MustCompile(src)
-	if _, err := vax.Tables(); err != nil { // exclude table construction
+	if _, err := vax.Target.Tables(); err != nil { // exclude table construction
 		t.Fatal(err)
 	}
 	gg := timeIt(3, func() {
@@ -145,7 +145,7 @@ func TestE3_DynamicCount(t *testing.T) {
 			if _, err := m.Call("_main", p.Args...); err != nil {
 				t.Fatal(err)
 			}
-			return m.Steps
+			return m.Steps()
 		}
 		g, b := run(gg.Asm), run(base.Asm)
 		ggTotal += g
@@ -259,7 +259,7 @@ func TestE4_ReverseOperators(t *testing.T) {
 // over two hours, now takes ten minutes" — the improved constructor is
 // roughly an order of magnitude faster than the naive one.
 func TestE5_SpeedupShape(t *testing.T) {
-	g, err := vax.Grammar()
+	g, err := vax.Target.Grammar()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func (s *timedSem) Predicate(name string, p *cgram.Prod, args []matcher.Value) b
 // generator spends most of its time parsing."
 func TestE6_PhaseSplit(t *testing.T) {
 	u := cfront.MustCompile(corpus.Large(80))
-	if _, err := vax.Tables(); err != nil {
+	if _, err := vax.Target.Tables(); err != nil {
 		t.Fatal(err)
 	}
 	var sem *timedSem
@@ -344,7 +344,7 @@ func TestE6_PhaseSplit(t *testing.T) {
 // TestF1_SymbolTable checks the Figure 1 vocabulary: the terminal and
 // nonterminal symbols of the machine description.
 func TestF1_SymbolTable(t *testing.T) {
-	g, err := vax.Grammar()
+	g, err := vax.Target.Grammar()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ int main() {
 // TestG_NoSemanticBlocks reproduces §6.3: the VAX description has no
 // semantic blocking; the scale constants were made syntactic instead.
 func TestG_NoSemanticBlocks(t *testing.T) {
-	tb, err := vax.Tables()
+	tb, err := vax.Target.Tables()
 	if err != nil {
 		t.Fatal(err)
 	}

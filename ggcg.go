@@ -294,10 +294,15 @@ func NewMachine(asm string) (*Machine, error) {
 // profile (opcode/addressing-mode frequencies, per-function steps) into
 // the observer.
 func NewMachineObs(asm string, o *Observer) (*Machine, error) {
-	p, err := vaxsim.AssembleObs(asm, o)
+	sp := o.Start("assemble")
+	p, err := vaxsim.Assemble(asm)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
+	o.Count("asm.instructions", int64(len(p.Instrs)))
+	o.Count("asm.labels", int64(len(p.Labels)))
+	o.Count("asm.globals", int64(len(p.Globals)))
 	m := &Machine{m: vaxsim.New(p)}
 	m.SetObserver(o)
 	return m, nil
@@ -332,7 +337,7 @@ func (m *Machine) Call(fn string, args ...int64) (int64, error) {
 func (m *Machine) Profile() SimProfile { return m.m.Profile() }
 
 // Steps returns the number of simulated instructions executed so far.
-func (m *Machine) Steps() int64 { return m.m.Steps }
+func (m *Machine) Steps() int64 { return m.m.Steps() }
 
 // ReadGlobal reads a global variable of the given byte size (1, 2 or 4)
 // as a signed integer.
@@ -407,13 +412,13 @@ func InfoFor(targetName string) (GrammarInfo, error) {
 // never describe different objects; only the naive experiment rebuilds.
 func BuildTables(naive bool) (states int, err error) {
 	if !naive {
-		t, err := vax.Tables()
+		t, err := vax.Target.Tables()
 		if err != nil {
 			return 0, err
 		}
 		return t.Stats.States, nil
 	}
-	g, err := vax.Grammar()
+	g, err := vax.Target.Grammar()
 	if err != nil {
 		return 0, err
 	}

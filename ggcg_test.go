@@ -96,6 +96,28 @@ func TestMachineReadGlobal(t *testing.T) {
 	}
 }
 
+// TestStaticDataPastMemory: a valid C program whose static data outgrows
+// the simulated memory is refused by either target's assembler with an
+// error naming the directive's line, instead of panicking in NewSim or
+// wrapping its data onto the stack.
+func TestStaticDataPastMemory(t *testing.T) {
+	for _, tgt := range Targets() {
+		for _, src := range []string{
+			`int a[400000]; int b = 7; int main() { return b; }`,
+			`int a[400000]; int main() { a[0] = 1; return a[0]; }`,
+		} {
+			out, err := Compile(src, Config{Target: tgt})
+			if err != nil {
+				t.Fatalf("%s: compile: %v", tgt, err)
+			}
+			_, err = NewSim(tgt, out.Asm)
+			if err == nil || !strings.Contains(err.Error(), ": line 2: static data passes the end") {
+				t.Errorf("%s %q: NewSim error = %v, want the line of the oversized data", tgt, src, err)
+			}
+		}
+	}
+}
+
 func TestCompileErrors(t *testing.T) {
 	if _, err := Compile(`int main() { return x; }`, Config{}); err == nil {
 		t.Error("undeclared identifier compiled")

@@ -80,7 +80,7 @@ func TestSeedCorpusNeverFiredProductions(t *testing.T) {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
 	}
-	g, err := vax.Grammar()
+	g, err := vax.Target.Grammar()
 	if err != nil {
 		t.Fatal(err)
 	}

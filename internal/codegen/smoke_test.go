@@ -9,7 +9,7 @@ import (
 )
 
 func TestTablesBuild(t *testing.T) {
-	tb, err := vax.Tables()
+	tb, err := vax.Target.Tables()
 	if err != nil {
 		t.Fatal(err)
 	}

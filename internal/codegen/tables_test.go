@@ -16,7 +16,7 @@ import (
 // a production compiler), decoded, and then drive a compilation that
 // executes correctly.
 func TestShippedTablesDriveCompilation(t *testing.T) {
-	built, err := vax.Tables()
+	built, err := vax.Target.Tables()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ int main() {
 // produce must never be among them, which the differential suites already
 // guarantee. This records the diagnostic behaviour.
 func TestBlockSearchOnVAXDescription(t *testing.T) {
-	tb, err := vax.Tables()
+	tb, err := vax.Target.Tables()
 	if err != nil {
 		t.Fatal(err)
 	}

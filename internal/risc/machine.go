@@ -1,32 +1,23 @@
 package risc
 
 import (
-	"ggcg/internal/cgram"
 	"ggcg/internal/ir"
 	"ggcg/internal/peep"
 	"ggcg/internal/riscsim"
-	"ggcg/internal/tablegen"
 	"ggcg/internal/target"
 )
 
-// machine adapts this package to the target.Machine seam.
-type machine struct{}
+// machine adapts this package to the target.Machine seam; the embedded
+// description provides the grammar and tables.
+type machine struct{ *target.Description }
 
 // Target is the load/store RISC-subset backend, the second machine grown
 // over the seam to demonstrate the paper's retargeting claim.
-var Target target.Machine = machine{}
+var Target target.Machine = machine{target.NewDescription("risc", GenericGrammar)}
 
 func init() { target.Register(Target) }
 
 func (machine) Name() string { return "risc" }
-
-func (machine) Grammar() (*cgram.Grammar, error) { return Grammar() }
-
-func (machine) GenericStats() (cgram.Stats, error) { return GenericStats() }
-
-func (machine) Tables() (*tablegen.Tables, error) { return Tables() }
-
-func (machine) TableID() (string, error) { return TableID() }
 
 func (machine) NewGen(body *target.Emitter, f *ir.Func, labelBase int) target.Gen {
 	g := NewGen(body, f)
@@ -49,19 +40,8 @@ func (machine) NewSim(asm string) (target.Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	return simAdapter{riscsim.New(p)}, nil
+	return riscsim.New(p), nil
 }
-
-// simAdapter presents a riscsim machine through the target.Sim surface.
-type simAdapter struct{ m *riscsim.Machine }
-
-func (s simAdapter) Call(fn string, args ...int64) (int64, error) { return s.m.Call(fn, args...) }
-
-func (s simAdapter) ReadGlobal(name string, size int) (int64, error) {
-	return s.m.ReadGlobal(name, size)
-}
-
-func (s simAdapter) Steps() int64 { return s.m.Steps }
 
 // Rules describes the RISC branch and move vocabulary for the
 // rule-driven peephole passes. Branch targets are last operands

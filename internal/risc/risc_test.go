@@ -17,11 +17,11 @@ import (
 // constructor resolves every conflict, and the packed encoding is
 // smaller than the dense one.
 func TestTablesBuild(t *testing.T) {
-	g, err := risc.Grammar()
+	g, err := risc.Target.Grammar()
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := risc.GenericStats()
+	gen, err := risc.Target.GenericStats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestTablesBuild(t *testing.T) {
 	if fs.ChainRules == 0 {
 		t.Error("no chain rules in the replicated grammar")
 	}
-	tb, err := risc.Tables()
+	tb, err := risc.Target.Tables()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestTablesBuild(t *testing.T) {
 // TestTableIDDistinctFromVAX: the cache fingerprints of the two targets
 // must differ at the table-identity layer too, not only by name.
 func TestTableIDDistinctFromVAX(t *testing.T) {
-	rid, err := risc.TableID()
+	rid, err := risc.Target.TableID()
 	if err != nil {
 		t.Fatal(err)
 	}
-	vid, err := vax.TableID()
+	vid, err := vax.Target.TableID()
 	if err != nil {
 		t.Fatal(err)
 	}

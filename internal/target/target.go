@@ -13,6 +13,7 @@ import (
 	"ggcg/internal/cgram"
 	"ggcg/internal/ir"
 	"ggcg/internal/matcher"
+	"ggcg/internal/obs"
 	"ggcg/internal/peep"
 	"ggcg/internal/tablegen"
 )
@@ -95,7 +96,8 @@ type GenStats struct {
 }
 
 // Sim executes a target's generated assembly; the differential oracles
-// and the -run CLIs drive targets through it.
+// and the -run CLIs drive targets through it. Both bundled simulators are
+// the internal/sim core under an ISA plug-in.
 type Sim interface {
 	// Call resets the machine and invokes the named function (assembler-
 	// level name, with underscore) with longword arguments, returning its
@@ -108,4 +110,11 @@ type Sim interface {
 
 	// Steps returns the number of simulated instructions executed.
 	Steps() int64
+
+	// EnableFuncProfile turns on per-function step attribution.
+	EnableFuncProfile()
+
+	// Profile snapshots the dynamic execution profile: opcode and
+	// addressing-mode frequencies and, when enabled, per-function steps.
+	Profile() obs.SimProfile
 }

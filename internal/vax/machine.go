@@ -1,35 +1,26 @@
 package vax
 
 import (
-	"ggcg/internal/cgram"
 	"ggcg/internal/ir"
 	"ggcg/internal/peep"
-	"ggcg/internal/tablegen"
 	"ggcg/internal/target"
 	"ggcg/internal/vaxsim"
 )
 
-// machine adapts this package to the target.Machine seam. The package's
-// historical exported surface (Grammar, Tables, NewGen, EmitGlobals, ...)
-// is kept as-is; the adapter is a thin veneer over it so the
-// target-neutral driver and the direct API stay byte-for-byte equivalent.
-type machine struct{}
+// machine adapts this package to the target.Machine seam: the embedded
+// description provides the grammar and tables, and the methods below are
+// a thin veneer over the package's exported surface (NewGen, EmitGlobals,
+// ...), so the target-neutral driver and the direct API stay
+// byte-for-byte equivalent.
+type machine struct{ *target.Description }
 
 // Target is the VAX-11 backend, the machine of the paper's experiment and
 // the default target of the code generator.
-var Target target.Machine = machine{}
+var Target target.Machine = machine{target.NewDescription("vax", GenericGrammar)}
 
 func init() { target.Register(Target) }
 
 func (machine) Name() string { return "vax" }
-
-func (machine) Grammar() (*cgram.Grammar, error) { return Grammar() }
-
-func (machine) GenericStats() (cgram.Stats, error) { return GenericStats() }
-
-func (machine) Tables() (*tablegen.Tables, error) { return Tables() }
-
-func (machine) TableID() (string, error) { return TableID() }
 
 func (machine) NewGen(body *target.Emitter, f *ir.Func, labelBase int) target.Gen {
 	g := NewGen(body, f)
@@ -50,19 +41,8 @@ func (machine) NewSim(asm string) (target.Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	return simAdapter{vaxsim.New(p)}, nil
+	return vaxsim.New(p), nil
 }
-
-// simAdapter presents a vaxsim machine through the target.Sim surface.
-type simAdapter struct{ m *vaxsim.Machine }
-
-func (s simAdapter) Call(fn string, args ...int64) (int64, error) { return s.m.Call(fn, args...) }
-
-func (s simAdapter) ReadGlobal(name string, size int) (int64, error) {
-	return s.m.ReadGlobal(name, size)
-}
-
-func (s simAdapter) Steps() int64 { return s.m.Steps }
 
 // The methods below complete *Gen's target.Gen surface; the concrete
 // fields they front (RM, idiom counters) remain exported for the tests

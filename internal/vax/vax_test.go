@@ -380,7 +380,7 @@ func TestConvertConstantIsFree(t *testing.T) {
 }
 
 func TestGrammarBuildsAndValidates(t *testing.T) {
-	g, err := Grammar()
+	g, err := Target.Grammar()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestGrammarBuildsAndValidates(t *testing.T) {
 	if st.ChainRules == 0 {
 		t.Error("no chain rules; the conversion sub-grammar is missing")
 	}
-	tb, err := Tables()
+	tb, err := Target.Tables()
 	if err != nil {
 		t.Fatal(err)
 	}

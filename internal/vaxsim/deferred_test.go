@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"ggcg/internal/sim"
 )
 
 func TestDeferredDisplacement(t *testing.T) {
@@ -96,12 +98,12 @@ func TestDeferredRoundTripSyntax(t *testing.T) {
 // conversions of the corresponding width.
 func TestExtendProperty(t *testing.T) {
 	f := func(v int64) bool {
-		return extend(uint64(v), 1, false) == int64(int8(v)) &&
-			extend(uint64(v), 2, false) == int64(int16(v)) &&
-			extend(uint64(v), 4, false) == int64(int32(v)) &&
-			extend(uint64(v), 1, true) == int64(uint8(v)) &&
-			extend(uint64(v), 2, true) == int64(uint16(v)) &&
-			extend(uint64(v), 4, true) == int64(uint32(v))
+		return sim.Extend(uint64(v), 1, false) == int64(int8(v)) &&
+			sim.Extend(uint64(v), 2, false) == int64(int16(v)) &&
+			sim.Extend(uint64(v), 4, false) == int64(int32(v)) &&
+			sim.Extend(uint64(v), 1, true) == int64(uint8(v)) &&
+			sim.Extend(uint64(v), 2, true) == int64(uint16(v)) &&
+			sim.Extend(uint64(v), 4, true) == int64(uint32(v))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -114,9 +116,9 @@ func TestMemoryRoundTripProperty(t *testing.T) {
 	m := New(p)
 	f := func(addr uint32, v int64, sz uint8) bool {
 		size := []int{1, 2, 4, 8}[sz%4]
-		a := dataBase + addr%4096
-		m.storeMem(a, size, uint64(v))
-		got := m.loadMem(a, size)
+		a := sim.DataBase + addr%4096
+		m.StoreMem(a, size, uint64(v))
+		got := m.LoadMem(a, size)
 		mask := ^uint64(0)
 		if size < 8 {
 			mask = 1<<(8*uint(size)) - 1

