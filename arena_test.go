@@ -154,15 +154,17 @@ func TestCompileAllocBudget(t *testing.T) {
 		t.Skip("allocation budget is a CI gate, skipped in -short")
 	}
 	src := corpus.Large(40)
-	if _, err := vax.Target.Tables(); err != nil { // exclude the one-time table build
+	if _, err := vax.Target.Tables(); err != nil { // exclude the one-time table load
 		t.Fatal(err)
 	}
 	if _, err := Compile(src, Config{}); err != nil { // warm the pools
 		t.Fatal(err)
 	}
-	// Measured ~6.8k allocs/op after the arena work; 8k leaves noise
-	// headroom while staying far under the pre-arena 19.6k.
-	const budget = 8000
+	// Measured 6.82k allocs/op once pooled arenas kept their slabs (6.84k
+	// before), and 7.65k under -race, whose sync.Pool drops a share of
+	// pooled objects on purpose; 7.8k covers both while staying far under
+	// the pre-arena 19.6k.
+	const budget = 7800
 	avg := testing.AllocsPerRun(10, func() {
 		if _, err := Compile(src, Config{}); err != nil {
 			t.Fatal(err)
@@ -171,4 +173,5 @@ func TestCompileAllocBudget(t *testing.T) {
 	if avg > budget {
 		t.Errorf("Compile allocations: %.0f allocs/op, budget %d", avg, budget)
 	}
+	t.Logf("Compile allocations: %.0f allocs/op, budget %d", avg, budget)
 }

@@ -2,7 +2,6 @@ package ggcg
 
 import (
 	"ggcg/internal/compcache"
-	"ggcg/internal/tablegen"
 )
 
 // Cache is a goroutine-safe, content-addressed compile-result cache: a
@@ -35,18 +34,17 @@ const compiledOverhead = 256
 
 // cacheFingerprint derives the configuration half of a cache key from a
 // Config: every knob that changes the output (Baseline, Peephole,
-// NoReverseOps), the caller's scope, the table wire-format version, and
-// — for the table-driven generator — the target's name plus the content
-// identity of its shared tables. Workers and Observer are deliberately
+// NoReverseOps), the caller's scope, and — for the table-driven
+// generator — the target's name plus the content identity of its shared
+// tables. Workers and Observer are deliberately
 // excluded: parallel and instrumented compilations are guaranteed
 // byte-identical to plain ones.
 func cacheFingerprint(cfg Config) (compcache.Fingerprint, error) {
 	fp := compcache.Fingerprint{
-		Baseline:        cfg.Baseline,
-		Peephole:        cfg.Peephole,
-		NoReverseOps:    cfg.NoReverseOps,
-		Scope:           cfg.CacheScope,
-		EncodingVersion: tablegen.EncodingVersion,
+		Baseline:     cfg.Baseline,
+		Peephole:     cfg.Peephole,
+		NoReverseOps: cfg.NoReverseOps,
+		Scope:        cfg.CacheScope,
 	}
 	if !cfg.Baseline {
 		mach, err := resolveTarget(cfg)

@@ -256,29 +256,15 @@ func compile(opts options, files []string) (err error) {
 		}
 	}
 	if opts.run {
-		if opts.target == "" || opts.target == "vax" {
-			// The VAX path keeps its richer machine: assembly and execution
-			// report into the observer (spans, dynamic profile).
-			m, merr := ggcg.NewMachineObs(outs[0].Asm, o)
-			if merr != nil {
-				return merr
-			}
-			r, rerr := m.Call("main")
-			if rerr != nil {
-				return rerr
-			}
-			fmt.Printf("main() = %d (%d instructions executed)\n", r, m.Steps())
-		} else {
-			s, merr := ggcg.NewSim(opts.target, outs[0].Asm)
-			if merr != nil {
-				return merr
-			}
-			r, rerr := s.Call("_main")
-			if rerr != nil {
-				return rerr
-			}
-			fmt.Printf("main() = %d (%d instructions executed)\n", r, s.Steps())
+		m, merr := ggcg.NewMachineObs(opts.target, outs[0].Asm, o)
+		if merr != nil {
+			return merr
 		}
+		r, rerr := m.Call("main")
+		if rerr != nil {
+			return rerr
+		}
+		fmt.Printf("main() = %d (%d instructions executed)\n", r, m.Steps())
 	}
 
 	if o != nil {

@@ -2,8 +2,8 @@
 // the C dialect to VAX assembly over the shared once-built tables and
 // surfaces the pipeline's instrumentation as standard operational
 // telemetry. It is the service form of the paper's economics: the static
-// half (table construction) is paid once at startup and every request
-// pays only the table-driven walk.
+// half (grammar expansion and loading the shipped tables) is paid once at
+// startup and every request pays only the table-driven walk.
 //
 // Endpoints:
 //
@@ -25,7 +25,7 @@
 //	                     request and unit series), latency histograms
 //	                     with p50/p90/p99, per-phase span aggregates,
 //	                     table coverage
-//	GET  /healthz        liveness (also verifies the tables are built)
+//	GET  /healthz        liveness (also verifies the tables are loaded)
 //	GET  /debug/vars     expvar
 //	GET  /debug/pprof/   runtime profiles
 //
@@ -62,14 +62,14 @@ func main() {
 	)
 	flag.Parse()
 
-	// Build the shared tables before accepting traffic, so the first
-	// request is not charged for the static half and a broken machine
-	// description fails fast at startup.
+	// Load the shared tables before accepting traffic, so the first
+	// request is not charged for the static half and a description that
+	// does not match its shipped tables fails fast at startup.
 	start := time.Now()
 	if _, err := ggcg.BuildTables(false); err != nil {
-		log.Fatalf("ggcd: building tables: %v", err)
+		log.Fatalf("ggcd: loading tables: %v", err)
 	}
-	log.Printf("ggcd: tables built in %v", time.Since(start).Round(time.Millisecond))
+	log.Printf("ggcd: tables loaded in %v", time.Since(start).Round(time.Millisecond))
 
 	d := newDaemon(serverConfig{
 		Timeout: *timeout, MaxSource: *maxSource,

@@ -15,7 +15,11 @@
 //	-naive        use the naive first-cut construction algorithm (§7)
 //	-conflicts    list every disambiguated conflict
 //	-blocks n     search for syntactic blocks on inputs up to n terminals
-//	-encode file  write the constructed tables to file
+//	-gen file     write the tables as Go source for the -target package
+//
+// The built-in targets ship their tables as generated source, made by
+// `go generate ./internal/vax ./internal/risc`, which runs
+// `ggtables -target <name> -gen tables_gen.go` in each package.
 package main
 
 import (
@@ -37,7 +41,7 @@ func main() {
 		naive     = flag.Bool("naive", false, "use the naive construction algorithm")
 		conflicts = flag.Bool("conflicts", false, "list disambiguated conflicts")
 		blocks    = flag.Int("blocks", 0, "search for syntactic blocks up to n terminals")
-		encode    = flag.String("encode", "", "write constructed tables to `file`")
+		gen       = flag.String("gen", "", "write the tables as Go source for the -target package to `file`")
 	)
 	flag.Parse()
 
@@ -114,39 +118,15 @@ func main() {
 			fmt.Println(" ", blk)
 		}
 	}
-	if *encode != "" {
-		f, err := os.Create(*encode)
+	if *gen != "" {
+		src, err := t.GoSource(*targetFlg)
 		if err != nil {
 			fatal(err)
 		}
-		if err := t.Encode(f); err != nil {
+		if err := os.WriteFile(*gen, src, 0o644); err != nil {
 			fatal(err)
 		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		// Round-trip what was just written: the wire format ships only the
-		// packed comb vectors, so this proves the file decodes back to the
-		// exact tables (version check, packed consistency validation, dense
-		// reconstruction) before anything downstream trusts it.
-		rf, err := os.Open(*encode)
-		if err != nil {
-			fatal(err)
-		}
-		t2, err := tablegen.Decode(rf)
-		rf.Close()
-		if err != nil {
-			fatal(fmt.Errorf("round-trip of %s failed: %v", *encode, err))
-		}
-		if t2.Stats.States != t.Stats.States || len(t2.Terms) != len(t.Terms) {
-			fatal(fmt.Errorf("round-trip of %s changed the tables", *encode))
-		}
-		fi, err := os.Stat(*encode)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("tables written to %s (%d bytes on disk, version %d, round-trip verified)\n",
-			*encode, fi.Size(), tablegen.EncodingVersion)
+		fmt.Printf("tables written to %s (%d bytes of Go source)\n", *gen, len(src))
 	}
 }
 

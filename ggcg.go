@@ -7,7 +7,7 @@
 // The package compiles a small dialect of C to VAX assembly with either the
 // table-driven code generator or a hand-written ad hoc baseline in the
 // style of the Portable C Compiler's second pass, and can execute the
-// generated assembly on a bundled VAX-subset simulator. See DESIGN.md for
+// generated assembly on a bundled simulator of each target. See DESIGN.md for
 // the system inventory and EXPERIMENTS.md for the reproduced measurements.
 //
 //	out, err := ggcg.Compile(`int main() { return 6 * 7; }`, ggcg.Config{})
@@ -31,7 +31,6 @@ import (
 	"ggcg/internal/target"
 	"ggcg/internal/transform"
 	"ggcg/internal/vax"
-	"ggcg/internal/vaxsim"
 )
 
 // Observer is the unified instrumentation hook: hierarchical phase spans,
@@ -262,8 +261,8 @@ func resolveTarget(cfg Config) (target.Machine, error) {
 func Targets() []string { return target.Names() }
 
 // Sim executes a target's generated assembly: the common surface of the
-// per-target simulators (vaxsim, riscsim). The VAX-specific Machine type
-// below remains the richer interface to the VAX simulator.
+// per-target simulators (vaxsim, riscsim). Machine wraps one with
+// instrumentation and source-level names.
 type Sim = target.Sim
 
 // NewSim assembles generated output for execution on the named target's
@@ -277,33 +276,40 @@ func NewSim(targetName, asm string) (Sim, error) {
 	return mach.NewSim(asm)
 }
 
-// Machine executes generated assembly on the VAX-subset simulator.
+// Machine executes generated assembly on a target's simulator, naming
+// functions and globals as the source does.
 type Machine struct {
-	m      *vaxsim.Machine
+	m      Sim
 	obs    *Observer
 	merged SimProfile // profile portion already merged into obs
 }
 
-// NewMachine assembles a program for execution.
+// NewMachine assembles a VAX program for execution.
 func NewMachine(asm string) (*Machine, error) {
-	return NewMachineObs(asm, nil)
+	return NewMachineObs("", asm, nil)
 }
 
-// NewMachineObs is NewMachine with instrumentation: assembly reports a
-// span, and every Call reports an execution span and merges its dynamic
-// profile (opcode/addressing-mode frequencies, per-function steps) into
-// the observer.
-func NewMachineObs(asm string, o *Observer) (*Machine, error) {
+// NewMachineObs assembles a program for the named target's simulator (""
+// means the VAX), with instrumentation: assembly reports a span and the
+// program's size, and every Call reports an execution span and merges
+// its dynamic profile (opcode/addressing-mode frequencies, per-function
+// steps) into the observer.
+func NewMachineObs(targetName, asm string, o *Observer) (*Machine, error) {
+	mach, err := resolveTarget(Config{Target: targetName})
+	if err != nil {
+		return nil, err
+	}
 	sp := o.Start("assemble")
-	p, err := vaxsim.Assemble(asm)
+	s, err := mach.NewSim(asm)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	o.Count("asm.instructions", int64(len(p.Instrs)))
-	o.Count("asm.labels", int64(len(p.Labels)))
-	o.Count("asm.globals", int64(len(p.Globals)))
-	m := &Machine{m: vaxsim.New(p)}
+	instrs, labels, globals := s.AsmStats()
+	o.Count("asm.instructions", int64(instrs))
+	o.Count("asm.labels", int64(labels))
+	o.Count("asm.globals", int64(globals))
+	m := &Machine{m: s}
 	m.SetObserver(o)
 	return m, nil
 }
@@ -397,19 +403,20 @@ func InfoFor(targetName string) (GrammarInfo, error) {
 		Terminals:          fs.Terminals,
 		Nonterminals:       fs.Nonterminals,
 		States:             t.Stats.States,
-		Conflicts:          len(t.Conflicts),
+		Conflicts:          t.Stats.Conflicts,
 		ChainRules:         fs.ChainRules,
 		TableBytes:         sz.Bytes,
 		PackedTableBytes:   sz.PackedBytes,
 	}, nil
 }
 
-// BuildTables constructs the instruction-selection tables from the VAX
-// description, optionally with the naive first-cut algorithm (the
-// configuration that took "over two hours of VAX 11/780 CPU time", §7).
-// The standard (non-naive) configuration returns the same once-built
-// shared tables Compile drives, so a table dump and a compilation can
-// never describe different objects; only the naive experiment rebuilds.
+// BuildTables readies the VAX instruction-selection tables and returns
+// their state count. The standard configuration returns the shared tables
+// Compile drives — the shipped ones, loaded once per process — so a table
+// dump and a compilation can never describe different objects. With
+// naive set it runs the table constructor with the naive first-cut
+// algorithm (the configuration that took "over two hours of VAX 11/780
+// CPU time", §7).
 func BuildTables(naive bool) (states int, err error) {
 	if !naive {
 		t, err := vax.Target.Tables()

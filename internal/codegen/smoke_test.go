@@ -15,9 +15,9 @@ func TestTablesBuild(t *testing.T) {
 	}
 	t.Logf("states=%d prods=%d terms=%d nts=%d conflicts=%d semblocks=%d",
 		tb.Stats.States, len(tb.Grammar.Prods), len(tb.Terms), len(tb.Nonterms),
-		len(tb.Conflicts), len(tb.SemBlocks))
-	if len(tb.SemBlocks) != 0 {
-		t.Errorf("VAX description must have no semantic blocks (§6.3): %v", tb.SemBlocks)
+		tb.Stats.Conflicts, tb.Stats.SemBlocks)
+	if tb.Stats.SemBlocks != 0 {
+		t.Errorf("VAX description must have no semantic blocks (§6.3), has %d (ggtables -target vax lists them)", tb.Stats.SemBlocks)
 	}
 }
 

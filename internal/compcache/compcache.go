@@ -81,11 +81,6 @@ type Fingerprint struct {
 	// format here).
 	Scope string
 
-	// EncodingVersion pins the table wire format (tablegen
-	// .EncodingVersion), so results cached against one table encoding
-	// generation are never served against another.
-	EncodingVersion int
-
 	// TableID is a content hash identifying the constructed tables (the
 	// machine description and everything derived from it). A changed
 	// grammar produces different tables, different output, and — through
@@ -107,8 +102,8 @@ func KeyFor(src string, f Fingerprint) Key {
 	// The fingerprint is hashed in a canonical textual form; %q escapes
 	// the free-form fields so no two fingerprints can collide by
 	// concatenation.
-	fmt.Fprintf(h, "baseline=%t peephole=%t noreverse=%t scope=%q encoding=%d table=%q target=%q\n",
-		f.Baseline, f.Peephole, f.NoReverseOps, f.Scope, f.EncodingVersion, f.TableID, f.Target)
+	fmt.Fprintf(h, "baseline=%t peephole=%t noreverse=%t scope=%q table=%q target=%q\n",
+		f.Baseline, f.Peephole, f.NoReverseOps, f.Scope, f.TableID, f.Target)
 	io.WriteString(h, src)
 	var k Key
 	h.Sum(k[:0])

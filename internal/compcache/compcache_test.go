@@ -127,14 +127,14 @@ func TestErrorsNotCached(t *testing.T) {
 
 // Every fingerprint knob must change the key; identical inputs must not.
 func TestFingerprintSensitivity(t *testing.T) {
-	base := Fingerprint{EncodingVersion: 2, TableID: "abc"}
+	base := Fingerprint{TableID: "abc"}
 	variants := map[string]Fingerprint{
-		"baseline":  {Baseline: true, EncodingVersion: 2, TableID: "abc"},
-		"peephole":  {Peephole: true, EncodingVersion: 2, TableID: "abc"},
-		"noreverse": {NoReverseOps: true, EncodingVersion: 2, TableID: "abc"},
-		"scope":     {Scope: "json", EncodingVersion: 2, TableID: "abc"},
-		"encoding":  {EncodingVersion: 3, TableID: "abc"},
-		"table":     {EncodingVersion: 2, TableID: "abd"},
+		"baseline":  {Baseline: true, TableID: "abc"},
+		"peephole":  {Peephole: true, TableID: "abc"},
+		"noreverse": {NoReverseOps: true, TableID: "abc"},
+		"scope":     {Scope: "json", TableID: "abc"},
+		"table":     {TableID: "abd"},
+		"target":    {TableID: "abc", Target: "risc"},
 	}
 	src := "int main() { return 0; }"
 	k0 := KeyFor(src, base)
@@ -336,7 +336,7 @@ func TestDefaultBounds(t *testing.T) {
 // independently of TableID.
 func TestKeySeparatesTargets(t *testing.T) {
 	const src = `int main() { return 1; }`
-	base := Fingerprint{EncodingVersion: 3, TableID: "same-id"}
+	base := Fingerprint{TableID: "same-id"}
 	vaxFP, riscFP := base, base
 	vaxFP.Target = "vax"
 	riscFP.Target = "risc"

@@ -19,8 +19,10 @@ import "sync"
 // to ordinary heap allocation, node for node, so code threading an arena
 // can be written once and exercised both ways.
 type Arena struct {
-	slabs   [][]Node  // all node slabs, including the active one
-	kidSets [][]*Node // all child-pointer slabs, including the active one
+	slabs   [][]Node  // node slabs, kept across Reset up to maxKeptSlabs
+	kidSets [][]*Node // child-pointer slabs, kept the same way
+	cur     int       // index of the active node slab
+	kcur    int       // index of the active kid slab
 	ni      int       // next free index in the active node slab
 	ki      int       // next free index in the active kid slab
 
@@ -36,6 +38,14 @@ const (
 	nodeSlabLen = 1024
 	kidSlabLen  = 2048
 )
+
+// maxKeptSlabs bounds the slabs of each kind an arena keeps across Reset
+// (at most ~650 KB of nodes and 128 KB of child pointers). A pooled arena
+// refills the same slabs compilation after compilation, so the front half
+// of a typical unit makes no garbage for the collector; a unit larger
+// than the cap still gets its extra slabs, and drops them at the next
+// Reset, so one huge unit does not set a pooled arena's size for good.
+const maxKeptSlabs = 8
 
 // arenaPool recycles arenas (and with them their grown slabs) across
 // compilations. Compile acquires one arena per unit; batch workers churn
@@ -59,36 +69,40 @@ func (a *Arena) Release() {
 }
 
 // Reset invalidates every node the arena has handed out and makes its
-// slabs available for reuse. Used slab prefixes are zeroed so stale child
-// slices and symbol strings do not pin garbage across compilations.
+// slabs available for reuse, keeping at most maxKeptSlabs of each kind.
+// Used slab prefixes are zeroed so stale child slices and symbol strings
+// do not pin garbage across compilations; slabs past the active one were
+// zeroed by an earlier Reset and never touched since.
 func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
-	for i, s := range a.slabs {
-		n := len(s)
-		if i == len(a.slabs)-1 {
-			n = a.ni
+	if len(a.slabs) > 0 {
+		for _, s := range a.slabs[:a.cur] {
+			clear(s)
 		}
-		clear(s[:n])
+		clear(a.slabs[a.cur][:a.ni])
 	}
-	for i, s := range a.kidSets {
-		n := len(s)
-		if i == len(a.kidSets)-1 {
-			n = a.ki
+	if len(a.kidSets) > 0 {
+		for _, s := range a.kidSets[:a.kcur] {
+			clear(s)
 		}
-		clear(s[:n])
+		clear(a.kidSets[a.kcur][:a.ki])
 	}
-	// Keep at most one slab of each kind: a pooled arena should hold a
-	// warm slab, not the high-water mark of the largest unit it ever saw.
-	if len(a.slabs) > 1 {
-		a.slabs = a.slabs[len(a.slabs)-1:]
-	}
-	if len(a.kidSets) > 1 {
-		a.kidSets = a.kidSets[len(a.kidSets)-1:]
-	}
-	a.ni, a.ki = 0, 0
+	a.slabs = keepSlabs(a.slabs)
+	a.kidSets = keepSlabs(a.kidSets)
+	a.cur, a.kcur, a.ni, a.ki = 0, 0, 0, 0
 	a.allocated = 0
+}
+
+// keepSlabs drops the slabs past maxKeptSlabs, releasing them to the
+// garbage collector.
+func keepSlabs[T any](slabs [][]T) [][]T {
+	if len(slabs) > maxKeptSlabs {
+		clear(slabs[maxKeptSlabs:])
+		slabs = slabs[:maxKeptSlabs]
+	}
+	return slabs
 }
 
 // Allocated returns the number of nodes handed out since the last Reset.
@@ -114,14 +128,26 @@ func (a *Arena) New() *Node {
 		return &Node{}
 	}
 	if len(a.slabs) == 0 || a.ni == nodeSlabLen {
-		a.slabs = append(a.slabs, make([]Node, nodeSlabLen))
+		a.slabs, a.cur = nextSlab(a.slabs, a.cur, nodeSlabLen)
 		a.ni = 0
 	}
-	slab := a.slabs[len(a.slabs)-1]
-	n := &slab[a.ni]
+	n := &a.slabs[a.cur][a.ni]
 	a.ni++
 	a.allocated++
 	return n
+}
+
+// nextSlab advances the active slab index past cur, reusing a kept slab
+// when there is one and appending a new one of length n otherwise. The
+// first slab of an empty list is index 0.
+func nextSlab[T any](slabs [][]T, cur, n int) ([][]T, int) {
+	if len(slabs) > 0 {
+		cur++
+	}
+	if cur == len(slabs) {
+		slabs = append(slabs, make([]T, n))
+	}
+	return slabs, cur
 }
 
 // kids carves a child slice of length n with exact capacity, so appends
@@ -134,11 +160,10 @@ func (a *Arena) kids(n int) []*Node {
 		return make([]*Node, n) // oversized: straight to the heap
 	}
 	if len(a.kidSets) == 0 || a.ki+n > kidSlabLen {
-		a.kidSets = append(a.kidSets, make([]*Node, kidSlabLen))
+		a.kidSets, a.kcur = nextSlab(a.kidSets, a.kcur, kidSlabLen)
 		a.ki = 0
 	}
-	slab := a.kidSets[len(a.kidSets)-1]
-	s := slab[a.ki : a.ki+n : a.ki+n]
+	s := a.kidSets[a.kcur][a.ki : a.ki+n : a.ki+n]
 	a.ki += n
 	return s
 }

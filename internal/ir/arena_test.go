@@ -85,28 +85,63 @@ func TestArenaOversizedKids(t *testing.T) {
 	}
 }
 
+// TestArenaResetReuse pins the retention policy: Reset keeps at most
+// maxKeptSlabs slabs of each kind, however far a unit grew the arena, and
+// a refill that fits in the kept slabs allocates nothing.
 func TestArenaResetReuse(t *testing.T) {
 	a := NewTestArena()
-	for i := 0; i < 2*nodeSlabLen; i++ {
-		a.NewName(Long, "sym")
+	// fill hands out n leaf/parent pairs, drawing on both slab kinds.
+	fill := func(n int) {
+		for i := 0; i < n; i++ {
+			a.Un(Neg, Long, a.NewName(Long, "sym"))
+		}
 	}
-	if a.Slabs() < 2 {
-		t.Fatalf("expected >= 2 slabs before reset, got %d", a.Slabs())
+	// Twice the kept kid slabs, eight times the kept node slabs.
+	fill(2 * maxKeptSlabs * kidSlabLen)
+	if a.Slabs() != 4*maxKeptSlabs*kidSlabLen/nodeSlabLen || len(a.kidSets) != 2*maxKeptSlabs {
+		t.Fatalf("fill grew %d node and %d kid slabs, want %d and %d",
+			a.Slabs(), len(a.kidSets), 4*maxKeptSlabs*kidSlabLen/nodeSlabLen, 2*maxKeptSlabs)
 	}
 	a.Reset()
 	if a.Allocated() != 0 {
 		t.Fatalf("Allocated after Reset = %d", a.Allocated())
 	}
-	if a.Slabs() != 1 {
-		t.Fatalf("Reset should keep one warm slab, kept %d", a.Slabs())
+	if a.Slabs() != maxKeptSlabs || len(a.kidSets) != maxKeptSlabs {
+		t.Fatalf("Reset kept %d node and %d kid slabs, want the cap %d of each",
+			a.Slabs(), len(a.kidSets), maxKeptSlabs)
 	}
-	// Reused slots come back zeroed: no stale Sym strings or Kids.
-	n := a.New()
-	if n.Op != 0 || n.Sym != "" || n.Kids != nil || n.Val != 0 {
-		t.Fatalf("reused node not zeroed: %+v", n)
+	// Reused slots come back zeroed, in every kept slab: no stale Sym
+	// strings or Kids.
+	for i := 0; i < maxKeptSlabs*nodeSlabLen; i++ {
+		if n := a.New(); n.Op != 0 || n.Sym != "" || n.Kids != nil || n.Val != 0 {
+			t.Fatalf("reused node %d not zeroed: %+v", i, n)
+		}
 	}
-	// A second fill after Reset must produce the same structure as the
-	// first one did.
+	for i := 0; i < maxKeptSlabs*kidSlabLen; i++ {
+		if k := a.MakeKids(1); k[0] != nil {
+			t.Fatalf("reused kid slot %d not zeroed", i)
+		}
+	}
+	if a.Slabs() != maxKeptSlabs || len(a.kidSets) != maxKeptSlabs {
+		t.Fatalf("refilling the kept slabs grew them to %d node and %d kid slabs", a.Slabs(), len(a.kidSets))
+	}
+
+	// A second fill of the same size after Reset makes no new slab.
+	a.Reset()
+	fill(3 * nodeSlabLen / 2)
+	slabs, kidSlabs := a.Slabs(), len(a.kidSets)
+	allocs := testing.AllocsPerRun(10, func() {
+		a.Reset()
+		fill(3 * nodeSlabLen / 2)
+	})
+	if allocs != 0 || a.Slabs() != slabs || len(a.kidSets) != kidSlabs {
+		t.Fatalf("refill after Reset: %.0f allocations, %d/%d slabs (was %d/%d); want 0 and unchanged",
+			allocs, a.Slabs(), len(a.kidSets), slabs, kidSlabs)
+	}
+
+	// A fill after Reset must produce the same structure as the first
+	// one did.
+	a.Reset()
 	tree := a.Bin(Plus, Long, a.SmallConst(1), a.SmallConst(2))
 	want := Bin(Plus, Long, SmallConst(1), SmallConst(2))
 	if !tree.Equal(want) {

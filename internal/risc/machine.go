@@ -11,9 +11,13 @@ import (
 // description provides the grammar and tables.
 type machine struct{ *target.Description }
 
+// The description's tables are built ahead of time and shipped as static
+// arrays; regenerate them after editing the description.
+//go:generate go run ggcg/cmd/ggtables -target risc -gen tables_gen.go
+
 // Target is the load/store RISC-subset backend, the second machine grown
 // over the seam to demonstrate the paper's retargeting claim.
-var Target target.Machine = machine{target.NewDescription("risc", GenericGrammar)}
+var Target target.Machine = machine{target.NewDescription("risc", GenericGrammar, &shippedTables)}
 
 func init() { target.Register(Target) }
 

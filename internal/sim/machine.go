@@ -69,6 +69,10 @@ type Machine[W Word, O Operand, M any] struct {
 	// stack top) executing them; nil until EnableFuncProfile.
 	fnSteps map[string]int64
 	fnStack []string
+
+	// dirty records a store to Mem since it was last cleared, so Reset
+	// clears the megabyte only when something may have written it.
+	dirty bool
 }
 
 // retSentinel is the return "pc" of the outermost frame.
@@ -100,16 +104,22 @@ func (e *ExecError) Unwrap() error { return e.Err }
 // 50M-instruction step budget, and a Reset.
 func (m *Machine[W, O, M]) Init(isa *ISA[W, O, M], p *Program[O], self M) {
 	m.isa, m.self, m.Prog = isa, self, p
-	m.Mem = make([]byte, DefaultMemory)
+	m.Mem = make([]byte, DefaultMemory) // zeroed: Reset need not clear it
 	m.Counts = make(map[string]int64)
 	m.MaxSteps = 50_000_000
 	m.Reset()
 }
 
 // Reset clears registers and memory and reapplies data initialization.
+// Memory that StoreMem (through which every handler writes) has not
+// touched since the last clear is already clear, so it is not cleared
+// again.
 func (m *Machine[W, O, M]) Reset() {
 	m.R = [16]W{}
-	clear(m.Mem)
+	if m.dirty {
+		clear(m.Mem)
+		m.dirty = false
+	}
 	for _, di := range m.Prog.init {
 		copy(m.Mem[di.addr:], di.bytes)
 	}
@@ -118,6 +128,12 @@ func (m *Machine[W, O, M]) Reset() {
 	if m.isa.Reset != nil {
 		m.isa.Reset(m.self)
 	}
+}
+
+// AsmStats sizes the assembled program: its instructions, labels and
+// data symbols.
+func (m *Machine[W, O, M]) AsmStats() (instructions, labels, globals int) {
+	return len(m.Prog.Instrs), len(m.Prog.Labels), len(m.Prog.Globals)
 }
 
 // Steps returns the number of instructions executed so far.
@@ -151,6 +167,9 @@ func (m *Machine[W, O, M]) CallPreservingState(name string, args ...int64) (int6
 	m.fnStack = m.fnStack[:0]
 	m.enter(uint32(len(args)), name, retSentinel, entry)
 	m.PC = entry
+	if err := m.checkStack(); err != nil {
+		return 0, fmt.Errorf("%s: %v", m.isa.Name, err)
+	}
 
 	for {
 		if m.PC == retSentinel {
@@ -175,8 +194,21 @@ func (m *Machine[W, O, M]) CallPreservingState(name string, args ...int64) (int6
 		if err := m.step(in, h); err != nil {
 			return 0, m.fault(in, err)
 		}
+		if err := m.checkStack(); err != nil {
+			return 0, m.fault(in, err)
+		}
 		m.PC = m.NextPC
 	}
+}
+
+// checkStack reports a stack grown down into static data. The stack
+// starts just below the top of memory and static data ends at
+// Prog.DataEnd; below that, a push would silently overwrite globals.
+func (m *Machine[W, O, M]) checkStack() error {
+	if sp := m.Addr(RegSP); sp < m.Prog.DataEnd {
+		return fmt.Errorf("stack overflow into static data: sp %#x is below the end of data at %#x", sp, m.Prog.DataEnd)
+	}
+	return nil
 }
 
 func (m *Machine[W, O, M]) fault(in *Instr[O], err error) error {
@@ -289,6 +321,7 @@ func (m *Machine[W, O, M]) LoadMem(addr uint32, size int) uint64 {
 
 // StoreMem writes the low size bytes of v little-endian.
 func (m *Machine[W, O, M]) StoreMem(addr uint32, size int, v uint64) {
+	m.dirty = true
 	for i := 0; i < size; i++ {
 		m.Mem[(addr+uint32(i))%uint32(len(m.Mem))] = byte(v >> (8 * i))
 	}

@@ -6,9 +6,13 @@ import (
 	"strings"
 	"testing"
 
+	"ggcg/internal/cfront"
+	"ggcg/internal/codegen"
+	_ "ggcg/internal/risc" // registers the RISC backend
 	"ggcg/internal/riscsim"
 	"ggcg/internal/sim"
 	"ggcg/internal/target"
+	_ "ggcg/internal/vax" // registers the VAX backend
 	"ggcg/internal/vaxsim"
 )
 
@@ -21,7 +25,8 @@ type machine interface {
 // isa is one plug-in under test: how to build its machine and the same
 // programs written in its syntax.
 type isa struct {
-	name string // the error prefix
+	name   string // the error prefix
+	target string // the backend generating code for it
 
 	// load assembles src and returns its machine, with a step budget of
 	// maxSteps when positive. mutate, when set, may rewrite the first
@@ -32,6 +37,7 @@ type isa struct {
 
 	calls   string // _sub(a, b) = a-b through ap; _fact(n), recursive, keeps n in r6
 	counter string // _inc increments and returns the global _n
+	initial string // _bump adds 5 to the global _k, initialised to 7, and returns it
 	loop    string // _f never returns
 	div     string // _f divides by zero in its second instruction
 	regs    string // _f moves between two registers in its first instruction
@@ -41,7 +47,7 @@ type isa struct {
 
 var isas = []isa{
 	{
-		name: "vaxsim",
+		name: "vaxsim", target: "vax",
 		load: func(src string, maxSteps int64, mutate func(*string, *int)) (machine, error) {
 			p, err := vaxsim.Assemble(src)
 			if err != nil {
@@ -80,6 +86,15 @@ _inc:	.word 0
 	movl _n,r0
 	ret
 `,
+		initial: `.data
+.align 2
+_k:	.long 7
+.text
+_bump:	.word 0
+	addl2 $5,_k
+	movl _k,r0
+	ret
+`,
 		loop: "_f:\t.word 0\nL1:\tjbr L1\n",
 		div:  "_f:\t.word 0\n\tmovl $5,r1\n\tdivl3 $0,r1,r0\n\tret\n",
 		regs: "_f:\t.word 0\n\tmovl r6,r5\n\tret\n",
@@ -87,7 +102,7 @@ _inc:	.word 0
 		divMn: "divl3", divCause: "integer divide by zero",
 	},
 	{
-		name: "riscsim",
+		name: "riscsim", target: "risc",
 		load: func(src string, maxSteps int64, mutate func(*string, *int)) (machine, error) {
 			p, err := riscsim.Assemble(src)
 			if err != nil {
@@ -128,6 +143,16 @@ _inc:
 	ldl	r0,_n
 	addi	r0,r0,$1
 	stl	r0,_n
+	ret
+`,
+		initial: `.data
+.align 2
+_k:	.long 7
+.text
+_bump:
+	ldl	r0,_k
+	addi	r0,r0,$5
+	stl	r0,_k
 	ret
 `,
 		loop: "_f:\nL1:\tjmp L1\n",
@@ -185,6 +210,53 @@ func TestCore(t *testing.T) {
 				}
 				if n, err := m.ReadGlobal("_n", 4); err != nil || n != 1 {
 					t.Errorf("_n = %d, %v; want 1", n, err)
+				}
+			})
+
+			t.Run("Call starts from initialised memory", func(t *testing.T) {
+				// Each Call must see the data initialisation, however the
+				// calls before it left memory.
+				m := load(isa.initial, 0, nil)
+				for i, step := range []struct {
+					call func(string, ...int64) (int64, error)
+					want int64
+				}{{m.Call, 12}, {m.CallPreservingState, 17}, {m.CallPreservingState, 22}, {m.Call, 12}, {m.Call, 12}} {
+					if r, err := step.call("_bump"); err != nil || r != step.want {
+						t.Errorf("call %d = %d, %v; want %d", i, r, err, step.want)
+					}
+				}
+			})
+
+			t.Run("stack overflow into data", func(t *testing.T) {
+				// a fills memory to just above the initial stack, so the
+				// call to f pushes into a[261099].
+				const prog = `int a[261100];
+int f(int x) { int y[8]; y[0] = x; return y[0] + 1; }
+int main() { a[261099] = 5; f(1); return a[261099]; }`
+				mach, err := target.Lookup(isa.target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := codegen.Compile(cfront.MustCompile(prog), codegen.Options{Target: mach})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := load(res.Asm, 0, nil).Call("_main")
+				if err == nil {
+					t.Fatalf("main() = %d with the stack overwriting a[261099]; want a stack overflow error", r)
+				}
+				if ee := execError(err); !strings.HasPrefix(ee.Err.Error(), "stack overflow into static data") {
+					t.Errorf("error %v, want a stack overflow into static data", err)
+				}
+				// With room for the stack the same code runs.
+				small := strings.Replace(prog, "261100", "261000", 1)
+				small = strings.ReplaceAll(small, "261099", "260999")
+				res, err = codegen.Compile(cfront.MustCompile(small), codegen.Options{Target: mach})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r, err := load(res.Asm, 0, nil).Call("_main"); err != nil || r != 5 {
+					t.Errorf("with room for the stack: main() = %d, %v; want 5", r, err)
 				}
 			})
 

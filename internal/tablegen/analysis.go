@@ -120,7 +120,7 @@ func CheckBlocks(t *Tables, arity func(string) (int, bool), maxTokens, maxConfig
 			stack := append([]int32{}, c.stack...)
 			for {
 				st := stack[len(stack)-1]
-				act := t.Action[st][term]
+				act := t.Lookup(int(st), term)
 				switch act.Kind {
 				case ActErr:
 					k := [2]int{int(st), term}
@@ -152,7 +152,7 @@ func CheckBlocks(t *Tables, arity func(string) (int, bool), maxTokens, maxConfig
 					rhsLen := len(t.Grammar.Prods[p-1].RHS)
 					stack = stack[:len(stack)-rhsLen]
 					lhs, _ := t.NontermID(t.Grammar.Prods[p-1].LHS)
-					to := t.Goto[stack[len(stack)-1]][lhs]
+					to := int32(t.GotoState(int(stack[len(stack)-1]), lhs))
 					if to < 0 {
 						k := [2]int{int(stack[len(stack)-1]), -1 - lhs}
 						if !blocked[k] {

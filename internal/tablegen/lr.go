@@ -53,23 +53,8 @@ type builder struct {
 }
 
 func newBuilder(g *cgram.Grammar, opt Options) (*builder, error) {
-	b := &builder{g: g, opt: opt}
-	t := &Tables{
-		Grammar:  g,
-		Terms:    g.Terminals(),
-		Nonterms: append([]string{}, g.Nonterminals()...),
-		termID:   make(map[string]int),
-		ntID:     make(map[string]int),
-	}
-	// The augmented start nonterminal gets the last id.
-	t.Nonterms = append(t.Nonterms, g.Start+"'")
-	for i, s := range t.Terms {
-		t.termID[s] = i
-	}
-	for i, s := range t.Nonterms {
-		t.ntID[s] = i
-	}
-	b.tables = t
+	t := newTables(g)
+	b := &builder{g: g, opt: opt, tables: t}
 
 	// Intern productions; index 0 is the augmented rule.
 	startNT := int32(t.ntID[g.Start])
@@ -399,12 +384,19 @@ func (b *builder) fillTables() {
 		if accept && arow[end].Kind == ActErr {
 			arow[end] = Action{Kind: ActAccept}
 		}
+		for _, a := range arow {
+			if a.Kind != ActErr {
+				t.Stats.ActionEntries++
+			}
+		}
+		for _, g := range grow {
+			if g >= 0 {
+				t.Stats.GotoEntries++
+			}
+		}
 		t.Action[si] = arow
 		t.Goto[si] = grow
 	}
-	sz := t.Size()
-	t.Stats.ActionEntries = sz.ActionEntries
-	t.Stats.GotoEntries = sz.GotoEntries
 }
 
 // resolveReduce applies the longest-rule rule to a reduce/reduce set and

@@ -1,9 +1,6 @@
 package tablegen
 
 import (
-	"bytes"
-	"encoding/gob"
-	"strings"
 	"testing"
 
 	"ggcg/internal/cgram"
@@ -91,28 +88,6 @@ func TestPackedSize(t *testing.T) {
 	}
 }
 
-// TestEncodeVersionRejected decodes a stream in the unversioned pre-comb
-// wire layout and expects the version error, not a garbled table set.
-func TestEncodeVersionRejected(t *testing.T) {
-	// The legacy layout shipped the dense matrices and no Version field;
-	// any subset of it decodes into wireTables with Version = 0.
-	legacy := struct {
-		GrammarText string
-		Start       string
-	}{GrammarText: addrGrammar, Start: "stmt"}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Decode(&buf)
-	if err == nil {
-		t.Fatal("Decode accepted an unversioned legacy stream")
-	}
-	if !strings.Contains(err.Error(), "version") {
-		t.Errorf("error does not name the version mismatch: %v", err)
-	}
-}
-
 // fuzzGrammar derives a small machine-description grammar from fuzz bytes:
 // each byte pair picks a left hand side from a tiny nonterminal pool and a
 // right hand side template over the toy terminal vocabulary. Many derived
@@ -171,15 +146,23 @@ func FuzzPackedEquivalence(f *testing.F) {
 		}
 		assertPackedEquivalent(t, tb)
 
-		// The packed form must also survive the wire format.
-		var buf bytes.Buffer
-		if err := tb.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		tb2, err := Decode(&buf)
+		// The packed form must also survive shipping: Load wraps it
+		// around the grammar with lookups unchanged.
+		tb2, err := Load(g, tb.static())
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertPackedEquivalent(t, tb2)
+		for s := 0; s < tb.Stats.States; s++ {
+			for term := 0; term <= len(tb.Terms); term++ {
+				if tb.Lookup(s, term) != tb2.Lookup(s, term) {
+					t.Fatalf("action(%d,%d) changed by Load", s, term)
+				}
+			}
+			for nt := range tb.Nonterms {
+				if tb.GotoState(s, nt) != tb2.GotoState(s, nt) {
+					t.Fatalf("goto(%d,%d) changed by Load", s, nt)
+				}
+			}
+		}
 	})
 }

@@ -87,17 +87,26 @@ type SemBlock struct {
 
 // BuildStats summarizes construction work and table size; §8 of the paper
 // reports the state count, and §5.1.3 the table growth from reverse
-// operators.
+// operators. The diagnostic counts travel with the shipped tables (see
+// Static), which carry no diagnostic lists.
 type BuildStats struct {
 	States        int
 	ActionEntries int // non-error ACTION entries
 	GotoEntries   int
 	ClosureOps    int // item-processing work performed during construction
+	Conflicts     int // disambiguated conflicts, len(Tables.Conflicts) after Build
+	SemBlocks     int // semantic blocks, len(Tables.SemBlocks) after Build
 }
 
 // Tables is the constructed parser: the ACTION/GOTO tables driving the
 // instruction pattern matcher, plus the diagnostics gathered during
 // construction.
+//
+// Tables come from Build, which fills every field, or from Load, which
+// wraps the packed form a target ships in its generated source (Static)
+// around the grammar and leaves the dense Action/Goto matrices and the
+// Conflicts/SemBlocks lists nil. Lookup, GotoState, ChoiceProds and Size
+// answer the same for both.
 type Tables struct {
 	Grammar  *cgram.Grammar
 	Terms    []string // terminal vocabulary; the end marker has id len(Terms)
@@ -114,8 +123,8 @@ type Tables struct {
 	termID map[string]int
 	ntID   map[string]int
 
-	// packed is the comb-vector form, built once by Build/Decode and
-	// immutable afterwards; the matcher's hot loop drives it.
+	// packed is the comb-vector form, built by Build or shipped to Load
+	// and immutable afterwards; the matcher's hot loop drives it.
 	packed *Packed
 }
 
@@ -138,11 +147,22 @@ func (t *Tables) NontermID(nt string) (int, bool) {
 	return id, ok
 }
 
-// Lookup returns the action for a state on a terminal id.
-func (t *Tables) Lookup(state, term int) Action { return t.Action[state][term] }
+// Lookup returns the action for a state on a terminal id, from the dense
+// matrix when the tables have one and from the packed form otherwise.
+func (t *Tables) Lookup(state, term int) Action {
+	if t.Action == nil {
+		return t.packed.Lookup(state, term)
+	}
+	return t.Action[state][term]
+}
 
 // GotoState returns the successor of state under a nonterminal id, or -1.
-func (t *Tables) GotoState(state, nt int) int { return int(t.Goto[state][nt]) }
+func (t *Tables) GotoState(state, nt int) int {
+	if t.Goto == nil {
+		return int(t.packed.GotoState(int32(state), int32(nt)))
+	}
+	return int(t.Goto[state][nt])
+}
 
 // ChoiceProds returns the candidate productions of a choice entry, ordered
 // with semantically qualified candidates first.
@@ -165,29 +185,21 @@ type Size struct {
 	PackedBytes   int // measured bytes of the comb-vector arrays
 }
 
-// Size returns the table size. Bytes counts the dense representation as
-// resident: the full states x (terminals+1) Action matrix at the in-memory
-// entry size, the full states x nonterminals int32 GOTO matrix, and the
-// choice lists. PackedBytes counts every int32 of the packed arrays.
+// Size returns the table size. The entry counts are the construction
+// statistics. Bytes counts the dense representation as resident: the
+// full states x (terminals+1) Action matrix at the in-memory entry size,
+// the full states x nonterminals int32 GOTO matrix, and the choice lists
+// — what Build holds, whether or not these tables carry the matrices.
+// PackedBytes counts every int32 of the packed arrays.
 func (t *Tables) Size() Size {
-	s := Size{States: len(t.Action)}
-	for _, row := range t.Action {
-		for _, a := range row {
-			if a.Kind != ActErr {
-				s.ActionEntries++
-			}
-		}
-	}
-	for _, row := range t.Goto {
-		for _, g := range row {
-			if g >= 0 {
-				s.GotoEntries++
-			}
-		}
+	s := Size{
+		States:        t.Stats.States,
+		ActionEntries: t.Stats.ActionEntries,
+		GotoEntries:   t.Stats.GotoEntries,
 	}
 	nTerms := len(t.Terms) + 1 // including the end marker column
-	s.Bytes = len(t.Action)*nTerms*int(unsafe.Sizeof(Action{})) +
-		len(t.Goto)*len(t.Nonterms)*4
+	s.Bytes = s.States*nTerms*int(unsafe.Sizeof(Action{})) +
+		s.States*len(t.Nonterms)*4
 	for _, c := range t.Choices {
 		s.Bytes += 4 * len(c)
 	}
@@ -219,6 +231,28 @@ func Build(g *cgram.Grammar, opt Options) (*Tables, error) {
 	}
 	b.buildStates()
 	b.fillTables()
-	b.tables.packed = b.tables.Pack()
-	return b.tables, nil
+	t := b.tables
+	t.Stats.Conflicts, t.Stats.SemBlocks = len(t.Conflicts), len(t.SemBlocks)
+	t.packed = t.Pack()
+	return t, nil
+}
+
+// newTables returns tables for g with the symbol vocabulary numbered and
+// nothing else filled in. Terminals keep the grammar's order; the
+// augmented start nonterminal gets the last nonterminal id.
+func newTables(g *cgram.Grammar) *Tables {
+	t := &Tables{
+		Grammar:  g,
+		Terms:    g.Terminals(),
+		Nonterms: append(append([]string{}, g.Nonterminals()...), g.Start+"'"),
+		termID:   make(map[string]int, len(g.Terminals())),
+		ntID:     make(map[string]int, len(g.Nonterminals())+1),
+	}
+	for i, s := range t.Terms {
+		t.termID[s] = i
+	}
+	for i, s := range t.Nonterms {
+		t.ntID[s] = i
+	}
+	return t
 }

@@ -2,6 +2,8 @@ package tablegen
 
 import (
 	"bytes"
+	"fmt"
+	"go/format"
 	"reflect"
 	"strings"
 	"testing"
@@ -379,23 +381,30 @@ func TestSymbolLookups(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
+func TestLoadRoundTrip(t *testing.T) {
 	tb := build(t, addrGrammar, Options{})
-	var buf bytes.Buffer
-	if err := tb.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tb2, err := Decode(&buf)
+	g, err := cgram.Parse(addrGrammar) // a fresh parse, as a shipping binary has
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tb.Action, tb2.Action) || !reflect.DeepEqual(tb.Goto, tb2.Goto) {
-		t.Error("tables changed across encode/decode")
+	tb2, err := Load(g, tb.static())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The decoded tables still drive a parse.
+	if tb2.Action != nil || tb2.Goto != nil {
+		t.Error("loaded tables carry dense matrices")
+	}
+	if tb2.Size() != tb.Size() || tb2.Stats != tb.Stats {
+		t.Errorf("Size/Stats changed: loaded %+v %+v, built %+v %+v", tb2.Size(), tb2.Stats, tb.Size(), tb.Stats)
+	}
+	if tb2.Stats.Conflicts != len(tb.Conflicts) || tb2.Stats.SemBlocks != len(tb.SemBlocks) {
+		t.Errorf("diagnostic counts %d/%d, built lists %d/%d",
+			tb2.Stats.Conflicts, tb2.Stats.SemBlocks, len(tb.Conflicts), len(tb.SemBlocks))
+	}
+	// The loaded tables still drive a parse.
 	reduces, ok := runParse(tb2, strings.Fields("Assign.l Name.l Const.l"))
 	if !ok || len(reduces) == 0 {
-		t.Error("decoded tables cannot parse")
+		t.Error("loaded tables cannot parse")
 	}
 	// Symbol ids must agree.
 	for _, term := range tb.Terms {
@@ -407,9 +416,69 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte("not a gob"))); err == nil {
-		t.Error("Decode accepted garbage")
+// TestLoadRejectsMismatch pairs shipped tables with the wrong grammar or
+// inconsistent arrays: each must be an error, never tables.
+func TestLoadRejectsMismatch(t *testing.T) {
+	tb := build(t, addrGrammar, Options{})
+	other, err := cgram.Parse(longestGrammar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Same productions, different text: a changed action attribute.
+	edited, err := cgram.Parse(strings.Replace(addrGrammar, "action=", "action=x", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withHash := func(s *Static, g *cgram.Grammar) *Static {
+		s.GrammarHash = grammarHash(g)
+		return s
+	}
+	for name, tc := range map[string]struct {
+		g    *cgram.Grammar
+		s    *Static
+		want string
+	}{
+		"other grammar":     {other, tb.static(), "not this grammar"},
+		"edited grammar":    {edited, tb.static(), "not this grammar"},
+		"counts (forged)":   {other, withHash(tb.static(), other), "does not match"},
+		"short Default":     {tb.Grammar, func() *Static { s := tb.static(); s.Packed.Default = s.Packed.Default[1:]; return s }(), "inconsistent"},
+		"state count":       {tb.Grammar, func() *Static { s := tb.static(); s.Stats.States++; return s }(), "inconsistent"},
+		"short GCheck":      {tb.Grammar, func() *Static { s := tb.static(); s.Packed.GCheck = s.Packed.GCheck[1:]; return s }(), "inconsistent"},
+		"missing ProdLHS":   {tb.Grammar, func() *Static { s := tb.static(); s.Packed.ProdLHS = s.Packed.ProdLHS[1:]; return s }(), "productions"},
+		"nonterminal count": {tb.Grammar, func() *Static { s := tb.static(); s.Packed.NumNonterms--; return s }(), "nonterminals"},
+	} {
+		got, err := Load(tc.g, tc.s)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Load = %v, %v; want an error containing %q", name, got != nil, err, tc.want)
+		}
+	}
+}
+
+// TestGoSource checks the generated file's form: the generated-code
+// header, gofmt-clean output, and an ID that follows the arrays.
+func TestGoSource(t *testing.T) {
+	tb := build(t, tieGrammar, Options{})
+	src, err := tb.GoSource("toy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(src, []byte("// Code generated by ggtables -gen; DO NOT EDIT.\n\npackage toy\n")) {
+		t.Errorf("missing generated-code header:\n%.120s", src)
+	}
+	if formatted, err := format.Source(src); err != nil || !bytes.Equal(formatted, src) {
+		t.Errorf("output is not gofmt-clean (err %v)", err)
+	}
+	if again, _ := tb.GoSource("toy"); !bytes.Equal(again, src) {
+		t.Error("GoSource is not deterministic")
+	}
+	s := tb.static()
+	if !bytes.Contains(src, []byte(fmt.Sprintf("const tableID = %q", s.ID))) {
+		t.Error("tableID constant missing")
+	}
+	s.Packed.Next = append([]int32{}, s.Packed.Next...)
+	s.Packed.Next[0]++
+	if tableHash(tb.Grammar, &s.Packed) == s.ID {
+		t.Error("tableHash ignores the array contents")
 	}
 }
 

@@ -1,8 +1,6 @@
 package target
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sync"
 
@@ -13,28 +11,30 @@ import (
 )
 
 // Description is the static half of a backend (§3): its generic machine
-// description and what the system derives from it — the type-replicated
-// grammar, the instruction-selection tables and their content hash — each
-// built once per process on first use. A backend embeds one to provide
-// Machine's Grammar, GenericStats, Tables and TableID. Everything it
-// returns is immutable once built and shared read-only by every
-// concurrent compilation.
+// description, the type-replicated grammar derived from it, and the
+// instruction-selection tables the table constructor built from that
+// grammar ahead of time and the backend ships as generated Go source
+// (tables_gen.go, written by `ggtables -gen`). The grammar is expanded
+// and the shipped tables are wrapped around it once per process, on
+// first use. A backend embeds one to provide Machine's Grammar,
+// GenericStats, Tables and TableID. Everything it returns is immutable
+// and shared read-only by every concurrent compilation.
 type Description struct {
 	name    string
 	generic string
+	shipped *tablegen.Static
 
 	grammar func() (*cgram.Grammar, error)
 	tables  func() (*tablegen.Tables, error)
-	tableID func() (string, error)
 }
 
 // NewDescription returns the lazily built description of the named
-// machine from its generic (pre-replication) description text.
-func NewDescription(name, generic string) *Description {
-	d := &Description{name: name, generic: generic}
+// machine from its generic (pre-replication) description text and the
+// tables generated from it.
+func NewDescription(name, generic string, shipped *tablegen.Static) *Description {
+	d := &Description{name: name, generic: generic, shipped: shipped}
 	d.grammar = sync.OnceValues(d.buildGrammar)
-	d.tables = sync.OnceValues(d.buildTables)
-	d.tableID = sync.OnceValues(d.hashTables)
+	d.tables = sync.OnceValues(d.loadTables)
 	return d
 }
 
@@ -42,14 +42,21 @@ func NewDescription(name, generic string) *Description {
 // validated.
 func (d *Description) Grammar() (*cgram.Grammar, error) { return d.grammar() }
 
-// Tables returns the instruction-selection tables.
+// Tables returns the instruction-selection tables: the shipped packed
+// tables, checked against the grammar.
 func (d *Description) Tables() (*tablegen.Tables, error) { return d.tables() }
 
 // TableID returns a hex content hash identifying the tables: the SHA-256
-// of their wire encoding (grammar text, packed action/goto combs,
-// conflicts, semantic blocks, build stats) plus the encoding version, so
-// any change to the description or the table constructor changes it.
-func (d *Description) TableID() (string, error) { return d.tableID() }
+// of the expanded grammar text and the packed arrays, computed when the
+// tables were generated. Any change to the description or the table
+// constructor changes it once the tables are regenerated, and until then
+// the tables fail to load.
+func (d *Description) TableID() (string, error) {
+	if _, err := d.Tables(); err != nil {
+		return "", err
+	}
+	return d.shipped.ID, nil
+}
 
 // GenericStats sizes the generic (pre-replication) description — the
 // "458 productions" row of the paper's §8 statistics table, and the
@@ -77,23 +84,15 @@ func (d *Description) buildGrammar() (*cgram.Grammar, error) {
 	return g, nil
 }
 
-func (d *Description) buildTables() (*tablegen.Tables, error) {
+func (d *Description) loadTables() (*tablegen.Tables, error) {
 	g, err := d.Grammar()
 	if err != nil {
 		return nil, err
 	}
-	return tablegen.Build(g, tablegen.Options{})
-}
-
-func (d *Description) hashTables() (string, error) {
-	t, err := d.Tables()
+	t, err := tablegen.Load(g, d.shipped)
 	if err != nil {
-		return "", err
+		return nil, fmt.Errorf("%s: shipped tables do not match the description (run go generate ./internal/%s): %v",
+			d.name, d.name, err)
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "encoding=%d\n", tablegen.EncodingVersion)
-	if err := t.Encode(h); err != nil {
-		return "", fmt.Errorf("%s: hashing tables: %v", d.name, err)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return t, nil
 }

@@ -111,6 +111,10 @@ type Sim interface {
 	// Steps returns the number of simulated instructions executed.
 	Steps() int64
 
+	// AsmStats sizes the assembled program: its instructions, labels and
+	// data symbols.
+	AsmStats() (instructions, labels, globals int)
+
 	// EnableFuncProfile turns on per-function step attribution.
 	EnableFuncProfile()
 

@@ -14,9 +14,13 @@ import (
 // byte-for-byte equivalent.
 type machine struct{ *target.Description }
 
+// The description's tables are built ahead of time and shipped as static
+// arrays; regenerate them after editing the description.
+//go:generate go run ggcg/cmd/ggtables -target vax -gen tables_gen.go
+
 // Target is the VAX-11 backend, the machine of the paper's experiment and
 // the default target of the code generator.
-var Target target.Machine = machine{target.NewDescription("vax", GenericGrammar)}
+var Target target.Machine = machine{target.NewDescription("vax", GenericGrammar, &shippedTables)}
 
 func init() { target.Register(Target) }
 

@@ -398,8 +398,8 @@ func TestGrammarBuildsAndValidates(t *testing.T) {
 	if tb.Stats.States < 300 {
 		t.Errorf("only %d states", tb.Stats.States)
 	}
-	if len(tb.SemBlocks) != 0 {
-		t.Errorf("semantic blocks present: %v", tb.SemBlocks)
+	if tb.Stats.SemBlocks != 0 {
+		t.Errorf("%d semantic blocks present (ggtables -target vax lists them)", tb.Stats.SemBlocks)
 	}
 }
 

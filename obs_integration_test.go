@@ -49,7 +49,7 @@ func TestObserverEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMachineObs(out.Asm, o)
+	m, err := NewMachineObs("", out.Asm, o)
 	if err != nil {
 		t.Fatal(err)
 	}
